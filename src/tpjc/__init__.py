@@ -21,8 +21,6 @@ from .fock import (
     WarningLog,
     apply_annihilation,
     apply_lower,
-    apply_lower_dm,
-    apply_number,
     apply_parity,
     apply_raise,
     default_dim,
@@ -51,7 +49,6 @@ from .sg import (
 )
 from .dynamics import (
     ProtocolResult,
-    RabiFrequency,
     TpjcParams,
     approx_error,
     build_hamiltonian,
@@ -59,6 +56,7 @@ from .dynamics import (
     evolve_oracle,
     pass_add,
     pass_subtract,
+    rabi_angle,
     run_protocol,
 )
 from .experiment import (

@@ -14,8 +14,10 @@ cross-check the closed form.
 
 One protocol pass evolves for gt = pi and re-prepares the qubit, which
 reduces to the exact field-only maps :func:`pass_add` / :func:`pass_subtract`.
-Iterating m passes approximates the ideal 2m-photon ladder states of
-:mod:`tpjc.sg`.
+Both directions run through one in-place kernel; :func:`run_protocol`
+iterates it on a private buffer, so a run holds two live N x N matrices
+(the state and one scratch). Iterating m passes approximates the ideal
+2m-photon ladder states of :mod:`tpjc.sg`.
 """
 
 from __future__ import annotations
@@ -33,12 +35,12 @@ from .fock import (
     QubitFieldState,
     Tolerances,
     WarningLog,
-    fidelity,
-    fock_distribution,
+    _moments,
+    _overlap,
+    fidelity,  # noqa: F401  (kept as tpjc.dynamics.fidelity; perfbench's smoke test reads it)
     mean_photon,
-    pure_density,
 )
-from .sg import Mode, SgStateSpec, ideal_state, low_component_mass, mandel_q
+from .sg import Mode, SgStateSpec, _mandel_q, ideal_state, low_component_mass
 
 
 @dataclass(frozen=True)
@@ -55,28 +57,20 @@ class TpjcParams:
             raise ValueError(f"time t must be non-negative, got {self.t}")
 
 
-class RabiFrequency:
-    """Two-photon exchange rate Omega(n) = g sqrt((n+2)(n+1))."""
+def rabi_angle(n, gt: float):
+    """Rotation angle Omega(n) t = gt sqrt((n+2)(n+1)) of the pair (|n, e>, |n+2, g>).
 
-    def __init__(self, g: float) -> None:
-        self.g = g
-
-    def __call__(self, n) -> np.ndarray | float:
-        n = np.asarray(n, dtype=float)
-        out = self.g * np.sqrt((n + 2.0) * (n + 1.0))
-        return out if out.ndim else float(out)
+    At gt = g it is the rate Omega(n). It vanishes at n = -1 and n = -2,
+    so Omega(n-2) leaves |1, g> and |0, g> dark.
+    """
+    return gt * np.sqrt((n + 2.0) * (n + 1.0))
 
 
 def _block_diagonals(dim: int, gt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """cos/sin of Omega(n) t and cos of Omega(n-2) t as diagonal arrays.
-
-    Omega(n-2) evaluates sqrt(n(n-1)), which is 0 at n = 0 and n = 1;
-    those ground-qubit components are dark.
-    """
+    """cos/sin of Omega(n) t and cos of Omega(n-2) t as diagonal arrays."""
     n = np.arange(dim, dtype=float)
-    theta = gt * np.sqrt((n + 2.0) * (n + 1.0))
-    theta_minus = gt * np.sqrt(np.maximum(n * (n - 1.0), 0.0))
-    return np.cos(theta), np.sin(theta), np.cos(theta_minus)
+    theta = rabi_angle(n, gt)
+    return np.cos(theta), np.sin(theta), np.cos(rabi_angle(n - 2.0, gt))
 
 
 def evolve_closed_form(
@@ -128,7 +122,7 @@ def build_hamiltonian(dim: int, g: float) -> np.ndarray:
         raise ValueError(f"dim must be >= 3 to hold a two-photon exchange, got {dim}")
     h = np.zeros((2 * dim, 2 * dim), dtype=complex)
     n = np.arange(dim - 2)
-    elem = g * np.sqrt((n + 2.0) * (n + 1.0))
+    elem = rabi_angle(n, g)
     h[dim + n + 2, n] = elem
     h[n, dim + n + 2] = elem
     return h
@@ -155,35 +149,54 @@ def evolve_oracle(state: QubitFieldState, params: TpjcParams) -> QubitFieldState
 # exact density-matrix maps for one pass at gt = pi
 
 
-def pass_add(rho: DensityMatrix, g: float = 1.0, tol: Tolerances = DEFAULT_TOL) -> DensityMatrix:
+def _pass_diagonals(dim: int, mode: Mode) -> tuple[np.ndarray, np.ndarray]:
+    """C, S at gt = pi (g cancels): angle Omega(n) t for ADD, Omega(n-2) t for SUBTRACT."""
+    theta = rabi_angle(np.arange(dim) - (0 if mode is Mode.ADD else 2), np.pi)
+    return np.cos(theta), np.sin(theta)
+
+
+def _pass_inplace(buf: np.ndarray, tmp: np.ndarray, c, s, mode: Mode, tol: Tolerances) -> None:
+    """buf <- C buf C + V^dag^2 S buf S V^2 (ADD) or C buf C + V^2 S buf S V^dag^2
+    (SUBTRACT), in place; ``tmp`` is scratch of the same shape. Rows are scaled
+    before columns, (c_i rho_ij) c_j, as the matrix products round.
+    """
+    dim = buf.shape[0]
+    if mode is Mode.ADD:
+        top_mass = float(np.real(buf[dim - 2, dim - 2] + buf[dim - 1, dim - 1]))
+        if top_mass > tol.tail_tol:
+            raise TruncationTooSmall(
+                f"top-two diagonal mass {top_mass:.3e} exceeds tail_tol={tol.tail_tol:.3e}; "
+                f"enlarge dim={dim}"
+            )
+    np.multiply(buf, s[:, None], out=tmp)
+    tmp *= s[None, :]
+    buf *= c[:, None]
+    buf *= c[None, :]
+    if mode is Mode.ADD:
+        buf[2:, 2:] += tmp[: dim - 2, : dim - 2]
+    else:
+        buf[: dim - 2, : dim - 2] += tmp[2:, 2:]
+
+
+def _pass(rho: DensityMatrix, mode: Mode, tol: Tolerances) -> DensityMatrix:
+    buf = np.array(rho.elems)
+    _pass_inplace(buf, np.empty_like(buf), *_pass_diagonals(rho.dim, mode), mode, tol)
+    return DensityMatrix(buf)
+
+
+def pass_add(rho: DensityMatrix, tol: Tolerances = DEFAULT_TOL) -> DensityMatrix:
     """One excited-qubit pass at gt = pi:
 
         rho' = C rho C + V^dag^2 S rho S V^2,
         C = cos[pi sqrt((n+2)(n+1))], S = sin[...]
 
-    g cancels from the trig arguments at gt = pi; it is accepted so
-    protocol parameters can be threaded through unchanged. Trace-preserving
-    provided the top two diagonal entries are negligible (they are shifted
-    out of the truncation by V^dag^2).
+    Trace-preserving provided the top two diagonal entries are negligible
+    (they are shifted out of the truncation by V^dag^2).
     """
-    del g  # arguments are Omega(n) * (pi/g) = pi sqrt((n+2)(n+1))
-    dim = rho.dim
-    top_mass = float(np.real(rho.elems[dim - 2, dim - 2] + rho.elems[dim - 1, dim - 1]))
-    if top_mass > tol.tail_tol:
-        raise TruncationTooSmall(
-            f"top-two diagonal mass {top_mass:.3e} exceeds tail_tol={tol.tail_tol:.3e}; "
-            f"enlarge dim={dim}"
-        )
-    n = np.arange(dim, dtype=float)
-    theta = np.pi * np.sqrt((n + 2.0) * (n + 1.0))
-    c, s = np.cos(theta), np.sin(theta)
-    out = c[:, None] * rho.elems * c[None, :]
-    srs = s[:, None] * rho.elems * s[None, :]
-    out[2:, 2:] += srs[: dim - 2, : dim - 2]
-    return DensityMatrix(out)
+    return _pass(rho, Mode.ADD, tol)
 
 
-def pass_subtract(rho: DensityMatrix, g: float = 1.0) -> DensityMatrix:
+def pass_subtract(rho: DensityMatrix) -> DensityMatrix:
     """One ground-qubit pass at gt = pi:
 
         rho' = C' rho C' + V^2 S' rho S' V^dag^2,
@@ -193,15 +206,7 @@ def pass_subtract(rho: DensityMatrix, g: float = 1.0) -> DensityMatrix:
     |0> and |1>, so nothing leaks at the bottom, and V^2 only moves mass
     downward.
     """
-    del g
-    dim = rho.dim
-    n = np.arange(dim, dtype=float)
-    theta = np.pi * np.sqrt(np.maximum(n * (n - 1.0), 0.0))
-    c, s = np.cos(theta), np.sin(theta)
-    out = c[:, None] * rho.elems * c[None, :]
-    srs = s[:, None] * rho.elems * s[None, :]
-    out[: dim - 2, : dim - 2] += srs[2:, 2:]
-    return DensityMatrix(out)
+    return _pass(rho, Mode.SUBTRACT, DEFAULT_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +235,6 @@ def run_protocol(
     psi0: FockVector,
     m: int,
     mode: Mode,
-    g: float = 1.0,
     dim: int | None = None,
     tol: Tolerances = DEFAULT_TOL,
     warnings: WarningLog | None = None,
@@ -239,7 +243,8 @@ def run_protocol(
 
     After pass k the fidelity F(k) = <target_k| rho_k |target_k> is
     recorded against the ideal ladder state with k steps built from the
-    same initial state; F(0) = 1 by construction.
+    same initial state; F(0) = 1 by construction. The passes run in place
+    on a private matrix, which is never wrapped (a wrap copies).
     """
     if m < 0:
         raise ValueError("m must be >= 0")
@@ -261,23 +266,26 @@ def run_protocol(
                 "subtraction targets use the renormalized form"
             )
 
-    rho = pure_density(psi0)
-    series: list[tuple[int, float]] = [(0, fidelity(rho, psi0))]
-    initial_dist = fock_distribution(rho)
+    v = psi0.amps
+    rho = np.outer(v, v.conj())
+    tmp = np.empty_like(rho)
+    c, s = _pass_diagonals(psi0.dim, mode)
+    series: list[tuple[int, float]] = [(0, _overlap(rho, v))]
+    initial_dist = _dist_pairs(np.real(np.diag(rho)))
 
     for k in range(1, m + 1):
-        rho = pass_add(rho, g, tol) if mode is Mode.ADD else pass_subtract(rho, g)
+        _pass_inplace(rho, tmp, c, s, mode, tol)
         target = ideal_state(SgStateSpec(psi0, k, mode), tol)
-        series.append((k, fidelity(rho, target)))
+        series.append((k, _overlap(rho, target.amps)))
 
-    final_dist = fock_distribution(rho)
+    final_dist = np.real(np.diag(rho))
     return ProtocolResult(
         fidelity_series=series,
-        initial_dist=_dist_pairs(initial_dist),
+        initial_dist=initial_dist,
         final_dist=_dist_pairs(final_dist),
         mean_photon_initial=mean_photon(psi0),
-        mean_photon_final=mean_photon(rho),
-        mandel_q_final=mandel_q(rho),
+        mean_photon_final=_moments(final_dist)[0],
+        mandel_q_final=_mandel_q(final_dist),
         mandel_q_predicted=None,
         warnings=list(warnings),
     )
@@ -298,11 +306,11 @@ def approx_error(j: int, branch: Mode) -> float:
     if j < 0:
         raise ValueError("j must be >= 0")
     if branch is Mode.ADD:
-        exact = np.sqrt((j + 2.0) * (j + 1.0))
+        exact = rabi_angle(j, 1.0)
         approx = j + 1.5
     else:
         if j < 2:
             raise ValueError("subtract branch needs j >= 2 for a nonzero reference")
-        exact = np.sqrt(j * (j - 1.0))
+        exact = rabi_angle(j - 2, 1.0)
         approx = j - 0.5
     return float(abs(approx - exact) / exact)

@@ -10,6 +10,7 @@ check, so identical configs produce byte-identical files.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass, replace
@@ -74,7 +75,6 @@ class ExperimentConfig:
     mode: Mode
     m: int
     dim: int | None = None
-    g: float = 1.0
     tolerances: Tolerances = DEFAULT_TOL
     outputs: tuple[str, ...] = DEFAULT_OUTPUTS
 
@@ -91,13 +91,14 @@ class ExperimentConfig:
 
 
 def _parse_alpha(raw) -> complex:
-    if isinstance(raw, (int, float)) and not isinstance(raw, bool):
-        return complex(raw)
-    if isinstance(raw, list) and len(raw) == 2 and all(
-        isinstance(x, (int, float)) and not isinstance(x, bool) for x in raw
-    ):
-        return complex(raw[0], raw[1])
-    raise ConfigInvalid(f"alpha must be a number or a [re, im] pair, got {raw!r}")
+    parts = raw if isinstance(raw, list) and len(raw) == 2 else [raw, 0.0]
+    if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in parts):
+        raise ConfigInvalid(f"alpha must be a number or a [re, im] pair, got {raw!r}")
+    alpha = complex(parts[0], parts[1])
+    # json accepts NaN and Infinity literals; the sizing policy cannot.
+    if not cmath.isfinite(alpha):
+        raise ConfigInvalid(f"alpha must be finite, got {raw!r}")
+    return alpha
 
 
 def parse_config(data: dict) -> ExperimentConfig:
@@ -105,7 +106,7 @@ def parse_config(data: dict) -> ExperimentConfig:
     offending field named."""
     if not isinstance(data, dict):
         raise ConfigInvalid("config must be a JSON object")
-    known = {"alpha", "mode", "m", "dim", "g", "tolerances", "outputs"}
+    known = {"alpha", "mode", "m", "dim", "tolerances", "outputs"}
     unknown = set(data) - known
     if unknown:
         raise ConfigInvalid(f"unknown config fields: {sorted(unknown)}")
@@ -122,10 +123,6 @@ def parse_config(data: dict) -> ExperimentConfig:
     m = data["m"]
     if not isinstance(m, int) or isinstance(m, bool) or m < 0:
         raise ConfigInvalid(f"m must be a non-negative integer, got {m!r}")
-
-    g = data.get("g", 1.0)
-    if not isinstance(g, (int, float)) or isinstance(g, bool) or not g > 0:
-        raise ConfigInvalid(f"g must be a positive number, got {g!r}")
 
     tol = DEFAULT_TOL
     if "tolerances" in data:
@@ -148,9 +145,7 @@ def parse_config(data: dict) -> ExperimentConfig:
     if bad_outputs:
         raise ConfigInvalid(f"unknown outputs {bad_outputs}; known: {list(KNOWN_OUTPUTS)}")
 
-    config = ExperimentConfig(
-        alpha=alpha, mode=mode, m=m, g=float(g), tolerances=tol, outputs=tuple(outputs)
-    )
+    config = ExperimentConfig(alpha=alpha, mode=mode, m=m, tolerances=tol, outputs=tuple(outputs))
 
     dim = data.get("dim")
     if dim is not None:
@@ -374,14 +369,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> tuple[Proto
     warnings = WarningLog()
     dim = config.resolved_dim()
     psi0 = make_coherent(config.alpha, dim, config.tolerances)
-    result = run_protocol(
-        psi0,
-        config.m,
-        config.mode,
-        g=config.g,
-        tol=config.tolerances,
-        warnings=warnings,
-    )
+    result = run_protocol(psi0, config.m, config.mode, tol=config.tolerances, warnings=warnings)
     result = replace(
         result,
         mandel_q_predicted=mandel_q_coherent_predict(config.alpha, config.m, config.mode),

@@ -246,13 +246,6 @@ def apply_lower(psi: FockVector) -> FockVector:
     return FockVector(out)
 
 
-def apply_lower_dm(rho: DensityMatrix) -> DensityMatrix:
-    """V rho V^dag: shifts both row and column indices down by one."""
-    out = np.zeros_like(rho.elems)
-    out[: rho.dim - 1, : rho.dim - 1] = rho.elems[1:, 1:]
-    return DensityMatrix(out)
-
-
 def apply_raise(psi: FockVector, tol: Tolerances = DEFAULT_TOL) -> FockVector:
     """Bare raising ladder V^dag: |n> -> |n+1>.
 
@@ -283,11 +276,6 @@ def apply_annihilation(psi: FockVector) -> FockVector:
     return FockVector(out)
 
 
-def apply_number(psi: FockVector) -> FockVector:
-    """Photon-number operator n = a^dag a: out_j = j c_j."""
-    return FockVector(psi.amps * np.arange(psi.dim))
-
-
 # ---------------------------------------------------------------------------
 # metrics
 
@@ -299,17 +287,24 @@ def fock_distribution(state: FockVector | DensityMatrix) -> np.ndarray:
     return np.real(np.diag(state.elems)).copy()
 
 
+def _moments(p: np.ndarray) -> tuple[float, float]:
+    j = np.arange(p.size, dtype=float)
+    return float(np.sum(j * p)), float(np.sum(j * j * p))
+
+
 def mean_photon(state: FockVector | DensityMatrix) -> float:
     """First moment sum_j j p_j of the Fock distribution."""
-    p = fock_distribution(state)
-    return float(np.sum(np.arange(p.size) * p))
+    return _moments(fock_distribution(state))[0]
 
 
 def photon_moment2(state: FockVector | DensityMatrix) -> float:
     """Second moment sum_j j^2 p_j of the Fock distribution."""
-    p = fock_distribution(state)
-    j = np.arange(p.size, dtype=float)
-    return float(np.sum(j * j * p))
+    return _moments(fock_distribution(state))[1]
+
+
+def _overlap(elems: np.ndarray, amps: np.ndarray) -> float:
+    value = np.real(amps.conj() @ elems @ amps)
+    return float(min(1.0, max(0.0, value)))
 
 
 def fidelity(rho: DensityMatrix, target: FockVector) -> float:
@@ -319,5 +314,4 @@ def fidelity(rho: DensityMatrix, target: FockVector) -> float:
     """
     if rho.dim != target.dim:
         raise DimensionMismatch(f"density matrix dim {rho.dim} != target dim {target.dim}")
-    value = np.real(target.amps.conj() @ rho.elems @ target.amps)
-    return float(min(1.0, max(0.0, value)))
+    return _overlap(rho.elems, target.amps)

@@ -34,13 +34,11 @@ from .fock import (
     FockVector,
     Tolerances,
     WarningLog,
+    _moments,
     apply_annihilation,
-    apply_lower,
-    apply_parity,
-    apply_raise,
+    fock_distribution,
     make_coherent,
     mean_photon,
-    photon_moment2,
 )
 
 
@@ -73,8 +71,15 @@ def low_component_mass(psi: FockVector, m: int) -> float:
     return float(np.sum(np.abs(psi.amps[:k]) ** 2))
 
 
+def _ladder_phases(size: int, m: int) -> np.ndarray:
+    """i^m (-1)^(k m) for k < size: the phase m ladder steps leave at the
+    landing index k (a shift by two keeps the parity, so the m parity
+    factors agree)."""
+    return (1.0, 1j, -1.0, -1j)[m % 4] * (-1.0) ** (m * np.arange(size))
+
+
 def add_photons_ideal(psi: FockVector, m: int, tol: Tolerances = DEFAULT_TOL) -> FockVector:
-    """Apply [i V^dag^2 (-1)^n]^m.
+    """Apply [i V^dag^2 (-1)^n]^m: i^m (-1)^(j m) c_j lands at index j + 2m.
 
     Norm-preserving up to the truncation guard: the top 2m amplitudes must
     be negligible since each step shifts the state up by two.
@@ -88,11 +93,10 @@ def add_photons_ideal(psi: FockVector, m: int, tol: Tolerances = DEFAULT_TOL) ->
                 f"top {2 * m} amplitudes reach {float(np.max(top)):.3e} "
                 f"(> tail_tol={tol.tail_tol:.3e}); enlarge dim={psi.dim}"
             )
-    state = psi
-    for _ in range(m):
-        state = apply_raise(apply_raise(apply_parity(state), tol), tol)
-        state = FockVector(1j * state.amps)
-    return state
+    kept = max(0, psi.dim - 2 * m)
+    out = np.zeros(psi.dim, dtype=complex)
+    out[psi.dim - kept :] = _ladder_phases(kept, m) * psi.amps[:kept]
+    return FockVector(out)
 
 
 def subtract_photons_ideal(
@@ -103,9 +107,10 @@ def subtract_photons_ideal(
 ) -> tuple[FockVector, float]:
     """Apply (1 - S)^(-1/2) [i V^2 (-1)^n]^m; returns (state, S).
 
-    S is the low-component mass removed by the map. When S is below
-    ``LOW_MASS_TOL`` the renormalizing prefactor is skipped (it differs
-    from 1 by less than the working precision).
+    The map puts i^m (-1)^(j m) c_{j+2m} at index j. S is the low-component
+    mass it removes. When S is below ``LOW_MASS_TOL`` the renormalizing
+    prefactor is skipped (it differs from 1 by less than the working
+    precision).
     """
     if m < 0:
         raise ValueError("m must be >= 0")
@@ -114,17 +119,16 @@ def subtract_photons_ideal(
         raise AllMassRemoved(
             f"subtraction with m={m} removes mass {low_mass:.12f} (all of the state)"
         )
-    state = psi
-    for _ in range(m):
-        state = apply_lower(apply_lower(apply_parity(state)))
-        state = FockVector(1j * state.amps)
+    kept = max(0, psi.dim - 2 * m)
+    out = np.zeros(psi.dim, dtype=complex)
+    out[:kept] = _ladder_phases(kept, m) * psi.amps[psi.dim - kept :]
     if low_mass > LOW_MASS_TOL:
-        state = FockVector(state.amps / np.sqrt(1.0 - low_mass))
+        out /= np.sqrt(1.0 - low_mass)
         if warnings is not None:
             warnings.add(
                 f"subtract: renormalized path engaged (low-component mass {low_mass:.6e})"
             )
-    return state, low_mass
+    return FockVector(out), low_mass
 
 
 def subtracted_mean_predict(psi: FockVector, m: int) -> float:
@@ -232,11 +236,16 @@ def eigen_residual(
 
 def mandel_q(state: FockVector | DensityMatrix) -> float:
     """Mandel Q = (<n^2> - <n>^2)/<n> - 1; negative is sub-Poissonian."""
-    mean = mean_photon(state)
+    return _mandel_q(fock_distribution(state))
+
+
+def _mandel_q(p: np.ndarray) -> float:
+    mean, second = _moments(p)
     if mean == 0.0:
         raise ZeroMeanPhoton("Mandel Q undefined for zero mean photon number")
-    variance = photon_moment2(state) - mean * mean
+    variance = second - mean * mean
     return variance / mean - 1.0
+
 
 def mandel_q_shift_predict(q_base: float, n_base: float, m: int, mode: Mode) -> float:
     """Q of the ladder state from the base state's Q and mean photon number.

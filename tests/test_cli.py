@@ -34,6 +34,17 @@ def test_run_rejects_bad_config(tmp_path, capsys):
     assert "invalid config" in captured.err
 
 
+@pytest.mark.parametrize("alpha", [float("nan"), [3.0, float("inf")]])
+def test_run_rejects_non_finite_alpha(tmp_path, capsys, alpha):
+    # json writes these as the NaN / Infinity literals that json.loads accepts
+    config = write_config(tmp_path, alpha=alpha)
+    rc = main(["run", str(config), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.count("\n") == 1
+    assert "invalid config" in err and "finite" in err
+
+
 def test_run_rejects_missing_config(tmp_path, capsys):
     rc = main(["run", str(tmp_path / "nope.json"), "--out", str(tmp_path)])
     assert rc == 2

@@ -9,23 +9,33 @@ from tpjc import (
     DensityMatrix,
     DimensionMismatch,
     FockVector,
+    LOW_MASS_TOL,
     Mode,
     QubitFieldState,
-    RabiFrequency,
+    SgStateSpec,
     TpjcParams,
     TruncationTooSmall,
     add_photons_ideal,
+    apply_lower,
+    apply_parity,
+    apply_raise,
     approx_error,
     build_hamiltonian,
+    default_dim,
     evolve_closed_form,
     evolve_oracle,
+    fidelity,
     fock_distribution,
+    ideal_state,
+    low_component_mass,
     make_coherent,
     make_fock,
+    mandel_q,
     mean_photon,
     pass_add,
     pass_subtract,
     pure_density,
+    rabi_angle,
     run_protocol,
     subtract_photons_ideal,
 )
@@ -67,11 +77,14 @@ def test_params_validation():
         TpjcParams(g=1.0, t=-0.1)
 
 
-def test_rabi_frequency():
-    omega = RabiFrequency(2.0)
-    assert omega(0) == pytest.approx(2.0 * math.sqrt(2.0))
-    values = omega(np.arange(20))
+def test_rabi_angle():
+    # at gt = g the angle is the rate Omega(n) = g sqrt((n+2)(n+1))
+    assert rabi_angle(0, 2.0) == pytest.approx(2.0 * math.sqrt(2.0))
+    values = rabi_angle(np.arange(20), 2.0)
     assert np.all(np.diff(values) > 0)
+    # Omega(n-2) leaves |0, g> and |1, g> dark
+    assert rabi_angle(-2, 1.0) == 0.0
+    assert rabi_angle(-1, 1.0) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +310,61 @@ def test_single_pass_approximates_photon_subtraction():
 
 
 # ---------------------------------------------------------------------------
+# closed-form ladder states against the operator product
+
+
+def ladder_by_operators(psi, m, mode):
+    state = psi
+    for _ in range(m):
+        state = apply_parity(state)
+        if mode is Mode.ADD:
+            state = apply_raise(apply_raise(state))
+        else:
+            state = apply_lower(apply_lower(state))
+        state = FockVector(1j * state.amps)
+    return state
+
+
+# |3-2i|^2 = 13 puts mass above LOW_MASS_TOL below 2m for every m > 0, so
+# subtraction renormalizes; at |5+6i|^2 = 61 it stays below for m <= 7.
+@pytest.mark.parametrize("alpha", [3.0 - 2.0j, 5.0 + 6.0j])
+@pytest.mark.parametrize("m", [0, 1, 2, 7])
+@pytest.mark.parametrize("mode", [Mode.ADD, Mode.SUBTRACT])
+def test_closed_form_ladder_equals_operator_product(mode, m, alpha):
+    psi = make_coherent(alpha, default_dim(alpha, 14))
+    expected = ladder_by_operators(psi, m, mode).amps
+    if mode is Mode.ADD:
+        out = add_photons_ideal(psi, m)
+    else:
+        out, low_mass = subtract_photons_ideal(psi, m)
+        assert low_mass == low_component_mass(psi, m)
+        if low_mass > LOW_MASS_TOL:
+            expected = expected / np.sqrt(1.0 - low_mass)
+    np.testing.assert_array_equal(out.amps, expected)
+
+
+# ---------------------------------------------------------------------------
 # protocol
+
+
+@pytest.mark.parametrize("mode", [Mode.ADD, Mode.SUBTRACT])
+def test_protocol_equals_loop_over_public_passes(mode):
+    m = 6
+    psi = make_coherent(2.5 + 1.5j, default_dim(2.5 + 1.5j, 2 * m))
+    result = run_protocol(psi, m, mode)
+
+    rho = pure_density(psi)
+    initial_dist = [(j, float(p)) for j, p in enumerate(fock_distribution(rho))]
+    series = [(0, fidelity(rho, psi))]
+    for k in range(1, m + 1):
+        rho = pass_add(rho) if mode is Mode.ADD else pass_subtract(rho)
+        series.append((k, fidelity(rho, ideal_state(SgStateSpec(psi, k, mode)))))
+
+    assert result.fidelity_series == series
+    assert result.initial_dist == initial_dist
+    assert result.final_dist == [(j, float(p)) for j, p in enumerate(fock_distribution(rho))]
+    assert result.mean_photon_final == mean_photon(rho)
+    assert result.mandel_q_final == mandel_q(rho)
 
 
 def test_protocol_m0_is_identity():

@@ -70,6 +70,11 @@ def test_config_rejects_undersized_dim():
         {"alpha": 5.0, "mode": "add", "m": 1, "outputs": ["plots"]},
         {"alpha": 5.0, "mode": "add", "m": 1, "tolerances": {"bogus": 1e-9}},
         {"alpha": 5.0, "mode": "add", "m": 1, "extra_field": 1},
+        {"alpha": 5.0, "mode": "add", "m": 1, "g": 1.0},
+        {"alpha": float("nan"), "mode": "add", "m": 1},
+        {"alpha": float("inf"), "mode": "add", "m": 1},
+        {"alpha": [3.0, float("nan")], "mode": "add", "m": 1},
+        {"alpha": [float("-inf"), 0.0], "mode": "add", "m": 1},
     ],
 )
 def test_config_rejects_invalid_fields(bad):

@@ -16,8 +16,6 @@ from tpjc import (
     TruncationTooSmall,
     apply_annihilation,
     apply_lower,
-    apply_lower_dm,
-    apply_number,
     apply_parity,
     apply_raise,
     default_dim,
@@ -160,20 +158,10 @@ def test_parity_conjugates_raise_exactly():
 
 def test_annihilation_and_number():
     assert np.allclose(apply_annihilation(make_fock(1, 8)).amps, make_fock(0, 8).amps)
-    out = apply_number(make_fock(4, 8))
-    assert np.allclose(out.amps, 4.0 * make_fock(4, 8).amps)
+    assert mean_photon(make_fock(4, 8)) == 4.0
     psi = make_coherent(5, 200)
     residual = apply_annihilation(psi).amps - 5.0 * psi.amps
     assert np.linalg.norm(residual) < 1e-8
-
-
-def test_lower_dm_shifts_both_indices():
-    rho = pure_density(make_fock(3, 8))
-    out = apply_lower_dm(rho)
-    assert out.elems[2, 2] == 1.0
-    assert out.trace() == pytest.approx(1.0)
-    # the |0><0| block is discarded
-    assert apply_lower_dm(pure_density(make_fock(0, 8))).trace() == 0.0
 
 
 @given(data=st.data())
