@@ -47,8 +47,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_run(args: argparse.Namespace) -> int:
     result, written = run(args.config, args.out)
     last_k, last_f = result.fidelity_series[-1]
+    q = "undefined" if result.mandel_q_final is None else f"{result.mandel_q_final:.6f}"
     print(f"mean photon: {result.mean_photon_initial:.6f} -> {result.mean_photon_final:.6f}")
-    print(f"F({last_k}) = {last_f:.6f}, Mandel Q = {result.mandel_q_final:.6f}")
+    print(f"F({last_k}) = {last_f:.6f}, Mandel Q = {q}")
     for path in written:
         print(f"wrote {path}")
     return 0

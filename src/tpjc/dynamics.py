@@ -15,8 +15,9 @@ cross-check the closed form.
 One protocol pass evolves for gt = pi and re-prepares the qubit, which
 reduces to the exact field-only maps :func:`pass_add` / :func:`pass_subtract`.
 Both directions run through one in-place kernel; :func:`run_protocol`
-iterates it on a private buffer, so a run holds two live N x N matrices
-(the state and one scratch). Iterating m passes approximates the ideal
+iterates it on a private buffer restricted to the occupied Fock window
+[lo, N), so a run holds two live W x W matrices (the state and one
+scratch), W = N - lo. Iterating m passes approximates the ideal
 2m-photon ladder states of :mod:`tpjc.sg`.
 """
 
@@ -26,7 +27,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DiagonalizationFailure, DimensionMismatch, TruncationTooSmall
+from .errors import (
+    DiagonalizationFailure,
+    DimensionMismatch,
+    TruncationTooSmall,
+    ZeroMeanPhoton,
+)
 from .fock import (
     DEFAULT_TOL,
     LOW_MASS_TOL,
@@ -149,16 +155,24 @@ def evolve_oracle(state: QubitFieldState, params: TpjcParams) -> QubitFieldState
 # exact density-matrix maps for one pass at gt = pi
 
 
-def _pass_diagonals(dim: int, mode: Mode) -> tuple[np.ndarray, np.ndarray]:
-    """C, S at gt = pi (g cancels): angle Omega(n) t for ADD, Omega(n-2) t for SUBTRACT."""
-    theta = rabi_angle(np.arange(dim) - (0 if mode is Mode.ADD else 2), np.pi)
+def _pass_diagonals(lo: int, dim: int, mode: Mode) -> tuple[np.ndarray, np.ndarray]:
+    """C, S at gt = pi (g cancels) on the levels n = lo .. dim-1: angle
+    Omega(n) t for ADD, Omega(n-2) t for SUBTRACT."""
+    theta = rabi_angle(lo + np.arange(dim - lo) - (0 if mode is Mode.ADD else 2), np.pi)
     return np.cos(theta), np.sin(theta)
 
 
-def _pass_inplace(buf: np.ndarray, tmp: np.ndarray, c, s, mode: Mode, tol: Tolerances) -> None:
+def _pass_inplace(
+    buf: np.ndarray, tmp: np.ndarray, c, s, mode: Mode, tol: Tolerances, lo: int = 0
+) -> None:
     """buf <- C buf C + V^dag^2 S buf S V^2 (ADD) or C buf C + V^2 S buf S V^dag^2
     (SUBTRACT), in place; ``tmp`` is scratch of the same shape. Rows are scaled
     before columns, (c_i rho_ij) c_j, as the matrix products round.
+
+    ``buf`` holds the levels from lo to the top of the space. ADD pushes its
+    top two rows out of the space, and SUBTRACT with lo > 0 pushes its bottom
+    two out of the window, so those rows must hold negligible mass. At
+    lo = 0 nothing leaves at the bottom: S vanishes on |0> and |1>.
     """
     dim = buf.shape[0]
     if mode is Mode.ADD:
@@ -166,7 +180,14 @@ def _pass_inplace(buf: np.ndarray, tmp: np.ndarray, c, s, mode: Mode, tol: Toler
         if top_mass > tol.tail_tol:
             raise TruncationTooSmall(
                 f"top-two diagonal mass {top_mass:.3e} exceeds tail_tol={tol.tail_tol:.3e}; "
-                f"enlarge dim={dim}"
+                f"enlarge dim={lo + dim}"
+            )
+    elif lo > 0:
+        bottom_mass = float(np.real(buf[0, 0] + buf[1, 1]))
+        if bottom_mass > tol.tail_tol:
+            raise TruncationTooSmall(
+                f"bottom-two diagonal mass {bottom_mass:.3e} of the window at lo={lo} "
+                f"exceeds tail_tol={tol.tail_tol:.3e}"
             )
     np.multiply(buf, s[:, None], out=tmp)
     tmp *= s[None, :]
@@ -180,7 +201,7 @@ def _pass_inplace(buf: np.ndarray, tmp: np.ndarray, c, s, mode: Mode, tol: Toler
 
 def _pass(rho: DensityMatrix, mode: Mode, tol: Tolerances) -> DensityMatrix:
     buf = np.array(rho.elems)
-    _pass_inplace(buf, np.empty_like(buf), *_pass_diagonals(rho.dim, mode), mode, tol)
+    _pass_inplace(buf, np.empty_like(buf), *_pass_diagonals(0, rho.dim, mode), mode, tol)
     return DensityMatrix(buf)
 
 
@@ -212,6 +233,11 @@ def pass_subtract(rho: DensityMatrix) -> DensityMatrix:
 # ---------------------------------------------------------------------------
 # iterated protocol
 
+# Levels below the first index where the initial state's cumulative mass
+# exceeds this are left out of the simulated window. Dropping that much
+# mass moves fidelities, means and Q by less than double-precision rounding.
+WINDOW_MASS_TOL = 1e-20
+
 
 @dataclass(frozen=True)
 class ProtocolResult:
@@ -222,7 +248,7 @@ class ProtocolResult:
     final_dist: list[tuple[int, float]]
     mean_photon_initial: float
     mean_photon_final: float
-    mandel_q_final: float
+    mandel_q_final: float | None  # None when the final mean photon number is 0
     mandel_q_predicted: float | None
     warnings: list[str]
 
@@ -245,6 +271,14 @@ def run_protocol(
     recorded against the ideal ladder state with k steps built from the
     same initial state; F(0) = 1 by construction. The passes run in place
     on a private matrix, which is never wrapped (a wrap copies).
+
+    The matrix covers only the Fock window [lo, N). lo is the first index
+    where psi0's cumulative mass exceeds ``WINDOW_MASS_TOL``, lowered by 2m
+    for SUBTRACT (mass moves down two levels per pass) and clamped at 0.
+    ADD moves mass only upward, so nothing enters the window from below.
+    The final distribution is re-embedded on 0 .. N-1. If its mean photon
+    number is 0, Mandel Q is undefined: ``mandel_q_final`` is None and a
+    warning says so.
     """
     if m < 0:
         raise ValueError("m must be >= 0")
@@ -267,25 +301,35 @@ def run_protocol(
             )
 
     v = psi0.amps
-    rho = np.outer(v, v.conj())
+    p0 = np.real(v * v.conj())
+    lo = int(np.argmax(np.cumsum(p0) > WINDOW_MASS_TOL))
+    if mode is Mode.SUBTRACT:
+        lo = max(0, lo - 2 * m)
+    w = v[lo:]
+    rho = np.outer(w, w.conj())
     tmp = np.empty_like(rho)
-    c, s = _pass_diagonals(psi0.dim, mode)
-    series: list[tuple[int, float]] = [(0, _overlap(rho, v))]
-    initial_dist = _dist_pairs(np.real(np.diag(rho)))
+    c, s = _pass_diagonals(lo, psi0.dim, mode)
+    series: list[tuple[int, float]] = [(0, _overlap(rho, w))]
 
     for k in range(1, m + 1):
-        _pass_inplace(rho, tmp, c, s, mode, tol)
+        _pass_inplace(rho, tmp, c, s, mode, tol, lo)
         target = ideal_state(SgStateSpec(psi0, k, mode), tol)
-        series.append((k, _overlap(rho, target.amps)))
+        series.append((k, _overlap(rho, target.amps[lo:])))
 
-    final_dist = np.real(np.diag(rho))
+    final_dist = np.zeros(psi0.dim)
+    final_dist[lo:] = np.real(np.diag(rho))
+    try:
+        q_final = _mandel_q(final_dist)
+    except ZeroMeanPhoton:
+        q_final = None
+        warnings.add("protocol: final mean photon number is 0; Mandel Q is undefined")
     return ProtocolResult(
         fidelity_series=series,
-        initial_dist=initial_dist,
+        initial_dist=_dist_pairs(p0),
         final_dist=_dist_pairs(final_dist),
         mean_photon_initial=mean_photon(psi0),
         mean_photon_final=_moments(final_dist)[0],
-        mandel_q_final=_mandel_q(final_dist),
+        mandel_q_final=q_final,
         mandel_q_predicted=None,
         warnings=list(warnings),
     )

@@ -10,9 +10,9 @@ check, so identical configs produce byte-identical files.
 
 from __future__ import annotations
 
-import cmath
 import json
 import math
+import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -94,11 +94,11 @@ def _parse_alpha(raw) -> complex:
     parts = raw if isinstance(raw, list) and len(raw) == 2 else [raw, 0.0]
     if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in parts):
         raise ConfigInvalid(f"alpha must be a number or a [re, im] pair, got {raw!r}")
-    alpha = complex(parts[0], parts[1])
-    # json accepts NaN and Infinity literals; the sizing policy cannot.
-    if not cmath.isfinite(alpha):
+    # json accepts NaN and Infinity literals and integers beyond the float
+    # range; the sizing policy takes none of them.
+    if not all(abs(x) <= sys.float_info.max for x in parts):
         raise ConfigInvalid(f"alpha must be finite, got {raw!r}")
-    return alpha
+    return complex(parts[0], parts[1])
 
 
 def parse_config(data: dict) -> ExperimentConfig:
@@ -134,8 +134,13 @@ def parse_config(data: dict) -> ExperimentConfig:
         if bad:
             raise ConfigInvalid(f"unknown tolerance fields: {sorted(bad)}")
         for name, value in over.items():
-            if not isinstance(value, (int, float)) or isinstance(value, bool) or value < 0:
-                raise ConfigInvalid(f"tolerance {name} must be a non-negative number")
+            # a NaN bound would disarm every guard, since x > NaN is False
+            if (
+                not isinstance(value, (int, float))
+                or isinstance(value, bool)
+                or not 0 <= value <= sys.float_info.max
+            ):
+                raise ConfigInvalid(f"tolerance {name} must be a finite non-negative number")
         tol = replace(tol, **{k: float(v) for k, v in over.items()})
 
     outputs = data.get("outputs", list(DEFAULT_OUTPUTS))
@@ -226,6 +231,10 @@ def emit_json(result: ProtocolResult, path: str | Path) -> None:
     _write_text(path, "{\n" + lines + "\n}\n")
 
 
+def _optional_float(value) -> float | None:
+    return None if value is None else float(value)
+
+
 def load_result(path: str | Path) -> ProtocolResult:
     try:
         data = json.loads(Path(path).read_text())
@@ -237,10 +246,8 @@ def load_result(path: str | Path) -> ProtocolResult:
         final_dist=[(int(j), float(p)) for j, p in data["final_dist"]],
         mean_photon_initial=float(data["mean_photon_initial"]),
         mean_photon_final=float(data["mean_photon_final"]),
-        mandel_q_final=float(data["mandel_q_final"]),
-        mandel_q_predicted=None
-        if data["mandel_q_predicted"] is None
-        else float(data["mandel_q_predicted"]),
+        mandel_q_final=_optional_float(data["mandel_q_final"]),
+        mandel_q_predicted=_optional_float(data["mandel_q_predicted"]),
         warnings=list(data["warnings"]),
     )
 

@@ -191,8 +191,14 @@ def make_coherent(alpha: complex, dim: int, tol: Tolerances = DEFAULT_TOL) -> Fo
 
     Amplitudes are evaluated in log space so large |alpha| cannot overflow
     the intermediate powers. The Poisson mass beyond the truncation must
-    not exceed ``tol.tail_tol`` (computed as the complement of the
-    truncated sum); the truncated vector is renormalized.
+    not exceed ``tol.tail_tol``; the truncated vector is renormalized.
+
+    The tail is the smaller of two estimates. Above the mean it is bounded
+    directly: the Poisson ratio p_{k+1}/p_k = |alpha|^2/(k+1) is at most
+    q = |alpha|^2/(dim+1) for k >= dim, so the tail is at most
+    p_dim / (1 - q). The complement 1 - sum p_j is exact up to rounding,
+    which is what counts when the tail is large, but that rounding over
+    ~dim terms would swamp a tail near ``tail_tol`` at large dim.
     """
     if dim < 1:
         raise DimensionMismatch("dim must be >= 1")
@@ -203,7 +209,10 @@ def make_coherent(alpha: complex, dim: int, tol: Tolerances = DEFAULT_TOL) -> Fo
     log_fact = np.array([math.lgamma(k + 1.0) for k in range(dim)])
     log_mag = -0.5 * r * r + j * math.log(r) - 0.5 * log_fact
     mag = np.exp(log_mag)
-    tail = max(0.0, 1.0 - float(np.sum(mag * mag)))
+    q = r * r / (dim + 1)
+    log_p_dim = -r * r + 2.0 * dim * math.log(r) - math.lgamma(dim + 1.0)
+    bound = math.exp(log_p_dim) / (1.0 - q) if q < 1.0 else math.inf
+    tail = min(bound, max(0.0, 1.0 - float(np.sum(mag * mag))))
     if tail > tol.tail_tol:
         raise TruncationTooSmall(
             f"coherent tail mass {tail:.3e} at dim={dim} exceeds tail_tol={tol.tail_tol:.3e}; "

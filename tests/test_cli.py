@@ -1,10 +1,13 @@
 """Command-line interface: exit codes, diagnostics, output files."""
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
 from tpjc.cli import main
+from tpjc.experiment import load_result
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -43,6 +46,33 @@ def test_run_rejects_non_finite_alpha(tmp_path, capsys, alpha):
     assert rc == 2
     assert err.count("\n") == 1
     assert "invalid config" in err and "finite" in err
+
+
+@pytest.mark.parametrize("tolerances", [{"norm_tol": float("nan")}, {"tail_tol": float("inf")}])
+def test_run_rejects_non_finite_tolerance(tmp_path, capsys, tolerances):
+    # a NaN norm_tol would disarm the guards, since x > NaN is False, and
+    # let this run end with an all-zero fidelity series
+    config = write_config(tmp_path, alpha=1, mode="subtract", m=40, tolerances=tolerances)
+    rc = main(["run", str(config), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.count("\n") == 1
+    assert "invalid config" in err and "finite" in err
+
+
+def test_run_vacuum_reports_undefined_mandel_q(tmp_path, capsys):
+    config = write_config(tmp_path, alpha=0, mode="add", m=0)
+    out_dir = tmp_path / "out"
+    rc = main(["run", str(config), "--out", str(out_dir)])
+    assert rc == 0
+    assert "Mandel Q = undefined" in capsys.readouterr().out
+    result = json.loads((out_dir / "result.json").read_text())
+    assert result["mandel_q_final"] is None
+    assert any("Mandel Q is undefined" in w for w in result["warnings"])
+    assert json.loads((out_dir / "mandel_q.json").read_text())["mandel_q_final"] is None
+    loaded = load_result(out_dir / "result.json")
+    assert loaded.mandel_q_final is None
+    assert loaded.mean_photon_final == 0.0
 
 
 def test_run_rejects_missing_config(tmp_path, capsys):
@@ -116,8 +146,6 @@ def test_approx_table_file_deterministic(tmp_path):
 
 
 def test_shipped_configs_are_valid():
-    from pathlib import Path
-
     from tpjc.experiment import load_config
 
     configs = Path(__file__).resolve().parent.parent / "configs"
@@ -125,3 +153,35 @@ def test_shipped_configs_are_valid():
         config = load_config(configs / name)
         assert config.m == 50
         assert config.dim is not None
+
+
+# sha256 of the files `tpjc run` writes for each shipped config. A change
+# meant to leave results alone must leave these bytes alone; a change that
+# alters them on purpose updates the digests and says why.
+SHIPPED_OUTPUT_SHA256 = {
+    "add_alpha5.json": {
+        "result.json": "6a9812c1d2da533cf7aec026b6ea9cd21086d4c965bf8df28d2a52fbb15492f9",
+        "fock_dist.csv": "310c4d0baa36d0579ba72896b056c2842f2ee34d73acb56049734b06a15c1846",
+        "fidelity_series.csv": "bc533d17b2ef10ad5a7ebe61fe9b750df58cabdbc691b47df534597739ea43ab",
+        "mandel_q.json": "6fdbe590ff0694d833f8c73649a269dbf1866c41343f7b4afd826d2a0dcfdede",
+        "mean_photon.json": "6b15512fe900b92abfd827905160742be79bf03744159162433f5031111bd41b",
+    },
+    "subtract_alpha12.json": {
+        "result.json": "6993c686120168235a65b309943fb9502bf2b172a5de4c428e787d2931e9ea1a",
+        "fock_dist.csv": "089ad2e447b0d4538827b0b2a19cd93748b3c5d3932aa95cfe246a88af0dfc92",
+        "fidelity_series.csv": "9e525f6eb5007acf137b25e8c7e6eb7283e48dbb89a7dc225e2a6188b979015e",
+        "mandel_q.json": "062a37b5f2eab3d4b2d1287b332a4c8a712cb7807065d60ff0a61403b339619d",
+        "mean_photon.json": "12c13ced47296adfb35eac38ade9d7cac617eed54e9724d3762e995969cd851c",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_OUTPUT_SHA256))
+def test_shipped_config_output_bytes(tmp_path, name):
+    config = Path(__file__).resolve().parent.parent / "configs" / name
+    out_dir = tmp_path / "out"
+    assert main(["run", str(config), "--out", str(out_dir)]) == 0
+    digests = {
+        f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in sorted(out_dir.iterdir())
+    }
+    assert digests == SHIPPED_OUTPUT_SHA256[name]

@@ -1,11 +1,13 @@
 """Propagator, dense oracle, pass maps, protocol, approximation table."""
 
+import cmath
 import math
 
 import numpy as np
 import pytest
 
 from tpjc import (
+    DEFAULT_TOL,
     DensityMatrix,
     DimensionMismatch,
     FockVector,
@@ -39,6 +41,7 @@ from tpjc import (
     run_protocol,
     subtract_photons_ideal,
 )
+from tpjc import dynamics
 
 # cos^2(pi sqrt(27*26)) and sin^2 of the same, at 60-digit precision.
 PASS_ADD_25_STAY = 0.00021962083683362364
@@ -347,24 +350,68 @@ def test_closed_form_ladder_equals_operator_product(mode, m, alpha):
 # protocol
 
 
+def full_space_loop(psi, m, mode):
+    rho = pure_density(psi)
+    series = [(0, fidelity(rho, psi))]
+    for k in range(1, m + 1):
+        rho = pass_add(rho) if mode is Mode.ADD else pass_subtract(rho)
+        series.append((k, fidelity(rho, ideal_state(SgStateSpec(psi, k, mode)))))
+    return series, rho
+
+
 @pytest.mark.parametrize("mode", [Mode.ADD, Mode.SUBTRACT])
 def test_protocol_equals_loop_over_public_passes(mode):
     m = 6
     psi = make_coherent(2.5 + 1.5j, default_dim(2.5 + 1.5j, 2 * m))
     result = run_protocol(psi, m, mode)
-
-    rho = pure_density(psi)
-    initial_dist = [(j, float(p)) for j, p in enumerate(fock_distribution(rho))]
-    series = [(0, fidelity(rho, psi))]
-    for k in range(1, m + 1):
-        rho = pass_add(rho) if mode is Mode.ADD else pass_subtract(rho)
-        series.append((k, fidelity(rho, ideal_state(SgStateSpec(psi, k, mode)))))
+    series, rho = full_space_loop(psi, m, mode)
 
     assert result.fidelity_series == series
-    assert result.initial_dist == initial_dist
+    assert result.initial_dist == [
+        (j, float(p)) for j, p in enumerate(fock_distribution(pure_density(psi)))
+    ]
     assert result.final_dist == [(j, float(p)) for j, p in enumerate(fock_distribution(rho))]
     assert result.mean_photon_final == mean_photon(rho)
     assert result.mandel_q_final == mandel_q(rho)
+
+
+@pytest.mark.parametrize("mode", [Mode.ADD, Mode.SUBTRACT])
+def test_windowed_protocol_matches_full_space(mode):
+    # at |alpha|^2 = 400 the levels below 230 hold < 1e-20 of the mass,
+    # so run_protocol simulates a window with lo > 0; over 50 passes the
+    # subtracted state sinks 100 levels, deep enough to need its window
+    # lowered by 2m
+    m = 50
+    alpha = 20.0 * cmath.exp(0.7j)
+    psi = make_coherent(alpha, default_dim(alpha, 2 * m if mode is Mode.ADD else 0))
+    result = run_protocol(psi, m, mode)
+    series, rho = full_space_loop(psi, m, mode)
+    p = fock_distribution(rho)
+
+    assert result.final_dist[0][1] == 0.0 < p[0]  # level 0 is outside the window
+    assert [k for k, _ in result.fidelity_series] == list(range(m + 1))
+    np.testing.assert_allclose(
+        [f for _, f in result.fidelity_series], [f for _, f in series], rtol=0, atol=1e-12
+    )
+    assert [j for j, _ in result.final_dist] == list(range(psi.dim))
+    np.testing.assert_allclose([q for _, q in result.final_dist], p, rtol=0, atol=1e-12)
+    assert abs(result.mean_photon_final - mean_photon(rho)) <= 1e-12
+    assert abs(result.mandel_q_final - mandel_q(rho)) <= 1e-12
+
+
+def test_subtract_window_guards_bottom_mass():
+    # a window starting at level 5 with all its mass on its bottom level:
+    # V^2 would push it below the window
+    lo, dim = 5, 13
+    buf = np.zeros((dim - lo, dim - lo), dtype=complex)
+    buf[0, 0] = 1.0
+    c, s = dynamics._pass_diagonals(lo, dim, Mode.SUBTRACT)
+    with pytest.raises(TruncationTooSmall, match="bottom-two"):
+        dynamics._pass_inplace(buf, np.empty_like(buf), c, s, Mode.SUBTRACT, DEFAULT_TOL, lo)
+    # at lo = 0 the same mass sits on the dark level |0> and stays put
+    c, s = dynamics._pass_diagonals(0, dim - lo, Mode.SUBTRACT)
+    dynamics._pass_inplace(buf, np.empty_like(buf), c, s, Mode.SUBTRACT, DEFAULT_TOL)
+    assert buf[0, 0] == 1.0
 
 
 def test_protocol_m0_is_identity():

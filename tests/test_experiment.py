@@ -75,6 +75,11 @@ def test_config_rejects_undersized_dim():
         {"alpha": float("inf"), "mode": "add", "m": 1},
         {"alpha": [3.0, float("nan")], "mode": "add", "m": 1},
         {"alpha": [float("-inf"), 0.0], "mode": "add", "m": 1},
+        {"alpha": 1, "mode": "subtract", "m": 40, "tolerances": {"norm_tol": float("nan")}},
+        {"alpha": 1, "mode": "subtract", "m": 40, "tolerances": {"tail_tol": float("inf")}},
+        {"alpha": 5.0, "mode": "add", "m": 1, "tolerances": {"herm_tol": float("-inf")}},
+        {"alpha": 5.0, "mode": "add", "m": 1, "tolerances": {"tail_tol": 10**400}},
+        {"alpha": [1.0, -(10**400)], "mode": "add", "m": 1},
     ],
 )
 def test_config_rejects_invalid_fields(bad):

@@ -92,6 +92,15 @@ def test_coherent_rejects_too_small_truncation():
         make_coherent(5, 10)
 
 
+def test_coherent_accepts_policy_dim_at_large_alpha():
+    # 1 - sum p_j over ~10^6 terms rounds to ~8e-10, above tail_tol, while
+    # the true tail beyond the policy dim is below 1e-20
+    dim = default_dim(1000)
+    psi = make_coherent(1000, dim)
+    assert psi.dim == dim
+    assert abs(psi.norm() - 1.0) < 1e-12
+
+
 def test_default_dim_policy():
     assert default_dim(5, 100) == math.ceil(25 + 50 + 100 + 24)
     assert default_dim(12) == math.ceil(144 + 120 + 24)
