@@ -18,7 +18,6 @@ from .fock import (
     FockVector,
     QubitFieldState,
     Tolerances,
-    WarningLog,
     apply_annihilation,
     apply_lower,
     apply_parity,
@@ -35,7 +34,6 @@ from .fock import (
 from .sg import (
     EigenResidual,
     Mode,
-    SgStateSpec,
     add_photons_ideal,
     apply_A,
     eigen_residual,

@@ -7,8 +7,13 @@ import sys
 
 from .errors import ConfigInvalid, TpjcError, TruncationTooSmall
 from .experiment import (
+    APPROX_TABLE_MAX_J,
     ORACLE_CHECK_BOUND,
+    ORACLE_CHECK_DIM,
+    ORACLE_CHECK_SEED,
+    ORACLE_CHECK_TRIALS,
     approx_error_table,
+    approx_table_csv,
     emit_approx_table_csv,
     emit_oracle_report,
     oracle_check,
@@ -30,15 +35,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p_oracle = sub.add_parser(
         "oracle-check", help="compare the closed-form propagator with the dense oracle"
     )
-    p_oracle.add_argument("--dim", type=int, default=64)
-    p_oracle.add_argument("--trials", type=int, default=100)
-    p_oracle.add_argument("--seed", type=int, default=42)
+    p_oracle.add_argument("--dim", type=int, default=ORACLE_CHECK_DIM)
+    p_oracle.add_argument("--trials", type=int, default=ORACLE_CHECK_TRIALS)
+    p_oracle.add_argument("--seed", type=int, default=ORACLE_CHECK_SEED)
     p_oracle.add_argument("--out", default=None, help="write the JSON report here instead of stdout")
 
     p_table = sub.add_parser(
         "approx-table", help="emit the linearized-Rabi relative-error table as CSV"
     )
-    p_table.add_argument("--max-j", type=int, default=200)
+    p_table.add_argument("--max-j", type=int, default=APPROX_TABLE_MAX_J)
     p_table.add_argument("--out", default=None, help="write the CSV here instead of stdout")
 
     return parser
@@ -80,9 +85,7 @@ def _cmd_approx_table(args: argparse.Namespace) -> int:
         emit_approx_table_csv(rows, args.out)
         print(f"wrote {args.out}")
     else:
-        print("j,add_error,subtract_error")
-        for j, add_err, sub_err in rows:
-            print(f"{j},{add_err:.17g},{sub_err:.17g}")
+        sys.stdout.write(approx_table_csv(rows))
     return 0
 
 

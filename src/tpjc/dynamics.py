@@ -27,12 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DiagonalizationFailure,
-    DimensionMismatch,
-    TruncationTooSmall,
-    ZeroMeanPhoton,
-)
+from .errors import DiagonalizationFailure, TruncationTooSmall, ZeroMeanPhoton
 from .fock import (
     DEFAULT_TOL,
     LOW_MASS_TOL,
@@ -40,13 +35,12 @@ from .fock import (
     FockVector,
     QubitFieldState,
     Tolerances,
-    WarningLog,
     _moments,
     _overlap,
     fidelity,  # noqa: F401  (kept as tpjc.dynamics.fidelity; perfbench's smoke test reads it)
     mean_photon,
 )
-from .sg import Mode, SgStateSpec, _mandel_q, ideal_state, low_component_mass
+from .sg import Mode, _mandel_q, ideal_state, low_component_mass
 
 
 @dataclass(frozen=True)
@@ -258,12 +252,7 @@ def _dist_pairs(p: np.ndarray) -> list[tuple[int, float]]:
 
 
 def run_protocol(
-    psi0: FockVector,
-    m: int,
-    mode: Mode,
-    dim: int | None = None,
-    tol: Tolerances = DEFAULT_TOL,
-    warnings: WarningLog | None = None,
+    psi0: FockVector, m: int, mode: Mode, tol: Tolerances = DEFAULT_TOL
 ) -> ProtocolResult:
     """Iterate m passes from rho_0 = |psi0><psi0|, tracking fidelity.
 
@@ -282,20 +271,11 @@ def run_protocol(
     """
     if m < 0:
         raise ValueError("m must be >= 0")
-    if warnings is None:
-        warnings = WarningLog()
-    if dim is not None:
-        if dim < psi0.dim:
-            raise DimensionMismatch(f"dim={dim} smaller than initial state dim={psi0.dim}")
-        if dim > psi0.dim:
-            padded = np.zeros(dim, dtype=complex)
-            padded[: psi0.dim] = psi0.amps
-            psi0 = FockVector(padded)
-
+    warnings: list[str] = []
     if mode is Mode.SUBTRACT:
         base_low_mass = low_component_mass(psi0, m)
         if base_low_mass > LOW_MASS_TOL:
-            warnings.add(
+            warnings.append(
                 f"protocol: initial state has low-component mass {base_low_mass:.6e}; "
                 "subtraction targets use the renormalized form"
             )
@@ -313,7 +293,7 @@ def run_protocol(
 
     for k in range(1, m + 1):
         _pass_inplace(rho, tmp, c, s, mode, tol, lo)
-        target = ideal_state(SgStateSpec(psi0, k, mode), tol)
+        target = ideal_state(psi0, k, mode, tol)
         series.append((k, _overlap(rho, target.amps[lo:])))
 
     final_dist = np.zeros(psi0.dim)
@@ -322,7 +302,7 @@ def run_protocol(
         q_final = _mandel_q(final_dist)
     except ZeroMeanPhoton:
         q_final = None
-        warnings.add("protocol: final mean photon number is 0; Mandel Q is undefined")
+        warnings.append("protocol: final mean photon number is 0; Mandel Q is undefined")
     return ProtocolResult(
         fidelity_series=series,
         initial_dist=_dist_pairs(p0),
@@ -331,7 +311,7 @@ def run_protocol(
         mean_photon_final=_moments(final_dist)[0],
         mandel_q_final=q_final,
         mandel_q_predicted=None,
-        warnings=list(warnings),
+        warnings=warnings,
     )
 
 

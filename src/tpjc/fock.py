@@ -30,8 +30,6 @@ class Tolerances:
     """
 
     norm_tol: float = 1e-10
-    herm_tol: float = 1e-10
-    psd_tol: float = 1e-8
     tail_tol: float = 1e-10
 
 
@@ -40,26 +38,6 @@ DEFAULT_TOL = Tolerances()
 # Threshold below which low Fock components are treated as absent and the
 # photon-subtraction map needs no renormalization.
 LOW_MASS_TOL = 1e-12
-
-
-class WarningLog:
-    """Accumulates non-fatal advisories from the numerical layers.
-
-    Experiment runs thread one instance through the protocol so every
-    advisory ends up in the result file.
-    """
-
-    def __init__(self) -> None:
-        self.entries: list[str] = []
-
-    def add(self, message: str) -> None:
-        self.entries.append(message)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -124,23 +102,6 @@ class DensityMatrix:
 
     def hermiticity_defect(self) -> float:
         return float(np.max(np.abs(self.elems - self.elems.conj().T)))
-
-    def smallest_eigenvalue(self) -> float:
-        # Debug/test-mode check only; O(N^3).
-        return float(np.linalg.eigvalsh(self.elems)[0])
-
-    def validate(self, tol: Tolerances = DEFAULT_TOL, check_psd: bool = False) -> None:
-        """Raise ValueError if the density-matrix invariants are violated."""
-        defect = self.hermiticity_defect()
-        if defect > tol.herm_tol:
-            raise ValueError(f"hermiticity defect {defect:.3e} exceeds {tol.herm_tol:.3e}")
-        drift = abs(self.trace() - 1.0)
-        if drift > tol.norm_tol:
-            raise ValueError(f"trace deviates from 1 by {drift:.3e}")
-        if check_psd:
-            lam = self.smallest_eigenvalue()
-            if lam < -tol.psd_tol:
-                raise ValueError(f"smallest eigenvalue {lam:.3e} below -{tol.psd_tol:.3e}")
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,6 @@ from .fock import (
     DensityMatrix,
     FockVector,
     Tolerances,
-    WarningLog,
     _moments,
     apply_annihilation,
     fock_distribution,
@@ -54,15 +53,6 @@ class Mode(enum.Enum):
             return cls(text.strip().lower())
         except ValueError:
             raise ValueError(f"mode must be 'add' or 'subtract', got {text!r}") from None
-
-
-@dataclass(frozen=True)
-class SgStateSpec:
-    """Recipe for an ideal ladder state: base state, step count, direction."""
-
-    base: FockVector
-    m: int
-    mode: Mode
 
 
 def low_component_mass(psi: FockVector, m: int) -> float:
@@ -100,10 +90,7 @@ def add_photons_ideal(psi: FockVector, m: int, tol: Tolerances = DEFAULT_TOL) ->
 
 
 def subtract_photons_ideal(
-    psi: FockVector,
-    m: int,
-    tol: Tolerances = DEFAULT_TOL,
-    warnings: WarningLog | None = None,
+    psi: FockVector, m: int, tol: Tolerances = DEFAULT_TOL
 ) -> tuple[FockVector, float]:
     """Apply (1 - S)^(-1/2) [i V^2 (-1)^n]^m; returns (state, S).
 
@@ -124,10 +111,6 @@ def subtract_photons_ideal(
     out[:kept] = _ladder_phases(kept, m) * psi.amps[psi.dim - kept :]
     if low_mass > LOW_MASS_TOL:
         out /= np.sqrt(1.0 - low_mass)
-        if warnings is not None:
-            warnings.add(
-                f"subtract: renormalized path engaged (low-component mass {low_mass:.6e})"
-            )
     return FockVector(out), low_mass
 
 
@@ -148,14 +131,12 @@ def subtracted_mean_predict(psi: FockVector, m: int) -> float:
 
 
 def ideal_state(
-    spec: SgStateSpec,
-    tol: Tolerances = DEFAULT_TOL,
-    warnings: WarningLog | None = None,
+    psi: FockVector, m: int, mode: Mode, tol: Tolerances = DEFAULT_TOL
 ) -> FockVector:
-    """Build the ideal ladder state described by ``spec``."""
-    if spec.mode is Mode.ADD:
-        return add_photons_ideal(spec.base, spec.m, tol)
-    state, _ = subtract_photons_ideal(spec.base, spec.m, tol, warnings)
+    """The ideal ladder state with m steps in direction ``mode`` from ``psi``."""
+    if mode is Mode.ADD:
+        return add_photons_ideal(psi, m, tol)
+    state, _ = subtract_photons_ideal(psi, m, tol)
     return state
 
 
@@ -163,12 +144,7 @@ def ideal_state(
 # nonlinear annihilation operators
 
 
-def apply_A(
-    state: FockVector,
-    m: int,
-    mode: Mode,
-    warnings: WarningLog | None = None,
-) -> FockVector:
+def apply_A(state: FockVector, m: int, mode: Mode) -> FockVector:
     """Deformed annihilation operator with the n-dependent factor left of a.
 
     ADD:      sqrt((n - 2m + 1)/(n + 1)) a
@@ -176,19 +152,13 @@ def apply_A(
 
     For ADD the factor argument is negative on components below 2m - 1;
     genuine 2m-added states carry no amplitude there, so the factor is
-    defined as 0 on them (logged when they are populated anyway).
+    defined as 0 on them.
     """
     lowered = apply_annihilation(state)
     j = np.arange(state.dim, dtype=float)
     if mode is Mode.ADD:
         arg = (j - 2.0 * m + 1.0) / (j + 1.0)
-        negative = arg < 0.0
-        zeroed = int(np.count_nonzero(negative & (lowered.amps != 0)))
-        if zeroed and warnings is not None:
-            warnings.add(
-                f"apply_A: zeroed {zeroed} populated components with negative factor argument"
-            )
-        arg = np.where(negative, 0.0, arg)
+        arg = np.where(arg < 0.0, 0.0, arg)
     else:
         arg = (j + 2.0 * m + 1.0) / (j + 1.0)
     return FockVector(np.sqrt(arg) * lowered.amps)
@@ -222,7 +192,7 @@ def eigen_residual(
     for even m.
     """
     base = make_coherent(alpha, dim, tol)
-    state = ideal_state(SgStateSpec(base, m, mode), tol)
+    state = ideal_state(base, m, mode, tol)
     image = apply_A(state, m, mode)
     r_minus = float(np.linalg.norm(image.amps - (-alpha) * state.amps))
     r_plus = float(np.linalg.norm(image.amps - alpha * state.amps))

@@ -60,6 +60,31 @@ def test_run_rejects_non_finite_tolerance(tmp_path, capsys, tolerances):
     assert "invalid config" in err and "finite" in err
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"alpha": 1e200, "mode": "add", "m": 1}',
+        '{"alpha": 1e150, "mode": "add", "m": 1}',
+        '{"alpha": 1e10, "mode": "add", "m": 1}',
+        '{"alpha": [1.7e308, 1.7e308], "mode": "add", "m": 1}',
+        '{"alpha": 1, "mode": "add", "m": 1%s}' % ("0" * 400),
+        '{"alpha": 1, "mode": "add", "m": 1, "dim": 1%s}' % ("0" * 30),
+        '{"alpha": 1, "mode": "add", "m": 1, "dim": 1%s}' % ("0" * 5000),
+    ],
+)
+def test_run_rejects_dim_beyond_array_range(tmp_path, capsys, text):
+    # finite numbers whose Fock dimension overflows a float or an array
+    # length, and an integer literal beyond the parser's digit limit
+    config = tmp_path / "config.json"
+    config.write_text(text)
+    rc = main(["run", str(config), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.count("\n") == 1
+    assert "invalid config" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_vacuum_reports_undefined_mandel_q(tmp_path, capsys):
     config = write_config(tmp_path, alpha=0, mode="add", m=0)
     out_dir = tmp_path / "out"
@@ -137,12 +162,22 @@ def test_approx_table_stdout(capsys):
     assert "nan" in lines[1]
 
 
-def test_approx_table_file_deterministic(tmp_path):
+def test_approx_table_file_deterministic(tmp_path, capsys):
     path_a = tmp_path / "a.csv"
     path_b = tmp_path / "b.csv"
     assert main(["approx-table", "--max-j", "50", "--out", str(path_a)]) == 0
     assert main(["approx-table", "--max-j", "50", "--out", str(path_b)]) == 0
     assert path_a.read_bytes() == path_b.read_bytes()
+    capsys.readouterr()
+    assert main(["approx-table", "--max-j", "50"]) == 0
+    assert capsys.readouterr().out.encode() == path_a.read_bytes()
+
+
+def test_approx_table_default_bytes(capsys):
+    # the default --max-j is 200; digest of its table as released
+    assert main(["approx-table"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "10daaadc38358e2721943fc356842a0e2e6fa0ff0f99798ab673d46c0886fcd6"
 
 
 def test_shipped_configs_are_valid():

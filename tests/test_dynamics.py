@@ -9,12 +9,10 @@ import pytest
 from tpjc import (
     DEFAULT_TOL,
     DensityMatrix,
-    DimensionMismatch,
     FockVector,
     LOW_MASS_TOL,
     Mode,
     QubitFieldState,
-    SgStateSpec,
     TpjcParams,
     TruncationTooSmall,
     add_photons_ideal,
@@ -355,7 +353,7 @@ def full_space_loop(psi, m, mode):
     series = [(0, fidelity(rho, psi))]
     for k in range(1, m + 1):
         rho = pass_add(rho) if mode is Mode.ADD else pass_subtract(rho)
-        series.append((k, fidelity(rho, ideal_state(SgStateSpec(psi, k, mode)))))
+        series.append((k, fidelity(rho, ideal_state(psi, k, mode))))
     return series, rho
 
 
@@ -442,14 +440,6 @@ def test_protocol_subtract_warns_on_low_components():
     psi = make_coherent(3, 80)
     result = run_protocol(psi, 2, Mode.SUBTRACT)
     assert any("low-component mass" in w for w in result.warnings)
-
-
-def test_protocol_pads_to_requested_dim():
-    psi = make_coherent(3, 60)
-    result = run_protocol(psi, 1, Mode.ADD, dim=80)
-    assert len(result.final_dist) == 80
-    with pytest.raises(DimensionMismatch):
-        run_protocol(psi, 1, Mode.ADD, dim=40)
 
 
 def test_protocol_mean_photon_matches_distribution():

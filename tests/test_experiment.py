@@ -1,10 +1,13 @@
 """Config parsing, experiment runner, emitters, determinism."""
 
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tpjc import (
     ConfigInvalid,
@@ -17,6 +20,7 @@ from tpjc import (
     run_experiment,
 )
 from tpjc.experiment import (
+    KNOWN_OUTPUTS,
     emit_distribution_csv,
     emit_fidelity_csv,
     emit_json,
@@ -80,6 +84,8 @@ def test_config_rejects_undersized_dim():
         {"alpha": 5.0, "mode": "add", "m": 1, "tolerances": {"herm_tol": float("-inf")}},
         {"alpha": 5.0, "mode": "add", "m": 1, "tolerances": {"tail_tol": 10**400}},
         {"alpha": [1.0, -(10**400)], "mode": "add", "m": 1},
+        {"alpha": 5.0, "mode": "add", "m": 1, "tolerances": {"herm_tol": 1e-10}},
+        {"alpha": 5.0, "mode": "add", "m": 1, "tolerances": {"psd_tol": 1e-8}},
     ],
 )
 def test_config_rejects_invalid_fields(bad):
@@ -102,6 +108,61 @@ def test_load_config_errors(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ConfigInvalid):
         load_config(bad)
+
+
+# Values as json.loads can produce them: NaN, +-Infinity and integers of
+# any size included.
+_number = st.one_of(
+    st.integers(-(10**30), 10**30),
+    st.sampled_from([2**63, 10**400, -(10**400)]),
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, 1e150, 1e200]),
+)
+_primitive = st.one_of(st.none(), st.booleans(), _number, st.text("adsubtrcN1e ", max_size=9))
+_small = st.floats(-30.0, 30.0)
+# A config of the right kinds in each field, then at most one field (or
+# one unknown name) set to any primitive, so most draws get past the
+# early checks and reach the sizing policy.
+_configs = st.builds(
+    lambda base, override: {**base, **override},
+    st.fixed_dictionaries(
+        {
+            "alpha": st.one_of(
+                _small, _number, st.lists(st.one_of(_small, _number), min_size=2, max_size=2)
+            ),
+            "mode": st.sampled_from(["add", "subtract"]),
+            "m": st.one_of(st.integers(0, 60), st.integers(0, 10**30), st.just(10**400)),
+        },
+        optional={
+            "dim": st.one_of(st.integers(1, 10**4), _number),
+            "tolerances": st.dictionaries(
+                st.sampled_from(["norm_tol", "tail_tol", "herm_tol"]), _number, max_size=2
+            ),
+            "outputs": st.lists(st.sampled_from(KNOWN_OUTPUTS + ("plots",)), max_size=3),
+        },
+    ),
+    st.dictionaries(
+        st.sampled_from(["alpha", "mode", "m", "dim", "tolerances", "outputs", "extra_field"]),
+        _primitive,
+        max_size=1,
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_configs)
+@example({"alpha": 1e200, "mode": "add", "m": 1})
+@example({"alpha": 1.0, "mode": "add", "m": 1, "dim": 10**30})
+def test_parse_config_returns_runnable_config_or_rejects(data):
+    try:
+        config = parse_config(data)
+    except ConfigInvalid:
+        return
+    dim = config.resolved_dim()
+    assert isinstance(dim, int) and 1 <= dim <= np.iinfo(np.intp).max
+    assert math.isfinite(abs(config.alpha))
+    for value in dataclasses.astuple(config.tolerances):
+        assert 0.0 <= value < math.inf
 
 
 # ---------------------------------------------------------------------------
