@@ -272,8 +272,7 @@ def photon_moment2(state: FockVector | DensityMatrix) -> float:
     return _moments(fock_distribution(state))[1]
 
 
-def _overlap(elems: np.ndarray, amps: np.ndarray) -> float:
-    value = np.real(amps.conj() @ elems @ amps)
+def _unit_clamp(value) -> float:
     return float(min(1.0, max(0.0, value)))
 
 
@@ -284,4 +283,5 @@ def fidelity(rho: DensityMatrix, target: FockVector) -> float:
     """
     if rho.dim != target.dim:
         raise DimensionMismatch(f"density matrix dim {rho.dim} != target dim {target.dim}")
-    return _overlap(rho.elems, target.amps)
+    amps = target.amps
+    return _unit_clamp(np.real(amps.conj() @ rho.elems @ amps))

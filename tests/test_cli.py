@@ -85,6 +85,26 @@ def test_run_rejects_dim_beyond_array_range(tmp_path, capsys, text):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("alpha", [1e5, 1e9])
+def test_run_rejects_config_over_memory_budget(tmp_path, capsys, alpha):
+    # finite sizes whose window matrix would not fit: before the budget
+    # check, alpha 1e9 ended in a MemoryError traceback
+    config = write_config(tmp_path, alpha=alpha, m=1)
+    rc = main(["run", str(config), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.count("\n") == 1
+    assert "invalid config" in err and "budget" in err and "W=" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("mode", ["add", "subtract"])
+def test_config_at_alpha_300_is_within_memory_budget(mode):
+    from tpjc.experiment import parse_config
+
+    assert parse_config({"alpha": 300, "mode": mode, "m": 50}).resolved_dim() > 90_000
+
+
 def test_run_vacuum_reports_undefined_mandel_q(tmp_path, capsys):
     config = write_config(tmp_path, alpha=0, mode="add", m=0)
     out_dir = tmp_path / "out"
@@ -192,20 +212,23 @@ def test_shipped_configs_are_valid():
 
 # sha256 of the files `tpjc run` writes for each shipped config. A change
 # meant to leave results alone must leave these bytes alone; a change that
-# alters them on purpose updates the digests and says why.
+# alters them on purpose updates the digests and says why. The fidelities
+# (in fidelity_series.csv and result.json) are summed in BLAS order by the
+# protocol's sweep; subtract_alpha12's mandel_q_predicted is the Q of the
+# ideal 50-step subtracted state.
 SHIPPED_OUTPUT_SHA256 = {
     "add_alpha5.json": {
-        "result.json": "6a9812c1d2da533cf7aec026b6ea9cd21086d4c965bf8df28d2a52fbb15492f9",
+        "result.json": "86dc7695196e57eaeccea6b2c4b55b06ef46f29e10d199b34f3b29678e7e19bc",
         "fock_dist.csv": "310c4d0baa36d0579ba72896b056c2842f2ee34d73acb56049734b06a15c1846",
-        "fidelity_series.csv": "bc533d17b2ef10ad5a7ebe61fe9b750df58cabdbc691b47df534597739ea43ab",
+        "fidelity_series.csv": "964a4d1afd29a03d8db1f12fde1ffd093220bb3d5cb65d0980501efceca3a349",
         "mandel_q.json": "6fdbe590ff0694d833f8c73649a269dbf1866c41343f7b4afd826d2a0dcfdede",
         "mean_photon.json": "6b15512fe900b92abfd827905160742be79bf03744159162433f5031111bd41b",
     },
     "subtract_alpha12.json": {
-        "result.json": "6993c686120168235a65b309943fb9502bf2b172a5de4c428e787d2931e9ea1a",
+        "result.json": "5d374e5c0287b617888d58f33bfe275e451271fe797c4bdaaa095126f12043ae",
         "fock_dist.csv": "089ad2e447b0d4538827b0b2a19cd93748b3c5d3932aa95cfe246a88af0dfc92",
-        "fidelity_series.csv": "9e525f6eb5007acf137b25e8c7e6eb7283e48dbb89a7dc225e2a6188b979015e",
-        "mandel_q.json": "062a37b5f2eab3d4b2d1287b332a4c8a712cb7807065d60ff0a61403b339619d",
+        "fidelity_series.csv": "e3e9574422b7fa1afe84d9f3f10d78095994a323faad46962f834ce85a077286",
+        "mandel_q.json": "063a42eb6d474f686d5baf24e34a8884485675f0957313713769f732ab5aa843",
         "mean_photon.json": "12c13ced47296adfb35eac38ade9d7cac617eed54e9724d3762e995969cd851c",
     },
 }

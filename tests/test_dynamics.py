@@ -359,18 +359,45 @@ def full_space_loop(psi, m, mode):
 
 @pytest.mark.parametrize("mode", [Mode.ADD, Mode.SUBTRACT])
 def test_protocol_equals_loop_over_public_passes(mode):
+    # The sweep scores each pass with a blocked matrix-vector product, which
+    # sums in another order than fidelity's, so F may differ by 2 ulp of 1.
+    # At real alpha both paths round the distribution alike; at complex
+    # alpha the sweep's real matrix drops the phases, which moves the
+    # distribution by about 1 ulp and the mean and Q by a few ulp of the mean.
     m = 6
-    psi = make_coherent(2.5 + 1.5j, default_dim(2.5 + 1.5j, 2 * m))
-    result = run_protocol(psi, m, mode)
-    series, rho = full_space_loop(psi, m, mode)
+    for alpha in (3.0, 2.5 + 1.5j):
+        psi = make_coherent(alpha, default_dim(alpha, 2 * m))
+        result = run_protocol(psi, m, mode)
+        series, rho = full_space_loop(psi, m, mode)
+        p = fock_distribution(rho)
 
-    assert result.fidelity_series == series
-    assert result.initial_dist == [
-        (j, float(p)) for j, p in enumerate(fock_distribution(pure_density(psi)))
-    ]
-    assert result.final_dist == [(j, float(p)) for j, p in enumerate(fock_distribution(rho))]
-    assert result.mean_photon_final == mean_photon(rho)
-    assert result.mandel_q_final == mandel_q(rho)
+        assert [k for k, _ in result.fidelity_series] == [k for k, _ in series]
+        for (_, f), (_, f_ref) in zip(result.fidelity_series, series):
+            assert abs(f - f_ref) <= 4.4e-16
+        assert result.initial_dist == [
+            (j, float(q)) for j, q in enumerate(fock_distribution(pure_density(psi)))
+        ]
+        if alpha.imag == 0:
+            assert result.final_dist == [(j, float(q)) for j, q in enumerate(p)]
+            assert result.mean_photon_final == mean_photon(rho)
+            assert result.mandel_q_final == mandel_q(rho)
+        else:
+            assert [j for j, _ in result.final_dist] == list(range(psi.dim))
+            assert max(abs(q - q_ref) for (_, q), q_ref in zip(result.final_dist, p)) <= 2.2e-16
+            assert abs(result.mean_photon_final - mean_photon(rho)) <= 1e-14
+            assert abs(result.mandel_q_final - mandel_q(rho)) <= 1e-14
+
+
+def assert_matches_full_space(result, series, rho, atol):
+    p = fock_distribution(rho)
+    assert [k for k, _ in result.fidelity_series] == [k for k, _ in series]
+    np.testing.assert_allclose(
+        [f for _, f in result.fidelity_series], [f for _, f in series], rtol=0, atol=atol
+    )
+    assert [j for j, _ in result.final_dist] == list(range(rho.dim))
+    np.testing.assert_allclose([q for _, q in result.final_dist], p, rtol=0, atol=atol)
+    assert abs(result.mean_photon_final - mean_photon(rho)) <= 1e-12
+    assert abs(result.mandel_q_final - mandel_q(rho)) <= 1e-12
 
 
 @pytest.mark.parametrize("mode", [Mode.ADD, Mode.SUBTRACT])
@@ -384,32 +411,77 @@ def test_windowed_protocol_matches_full_space(mode):
     psi = make_coherent(alpha, default_dim(alpha, 2 * m if mode is Mode.ADD else 0))
     result = run_protocol(psi, m, mode)
     series, rho = full_space_loop(psi, m, mode)
-    p = fock_distribution(rho)
 
-    assert result.final_dist[0][1] == 0.0 < p[0]  # level 0 is outside the window
-    assert [k for k, _ in result.fidelity_series] == list(range(m + 1))
-    np.testing.assert_allclose(
-        [f for _, f in result.fidelity_series], [f for _, f in series], rtol=0, atol=1e-12
-    )
-    assert [j for j, _ in result.final_dist] == list(range(psi.dim))
-    np.testing.assert_allclose([q for _, q in result.final_dist], p, rtol=0, atol=1e-12)
-    assert abs(result.mean_photon_final - mean_photon(rho)) <= 1e-12
-    assert abs(result.mandel_q_final - mandel_q(rho)) <= 1e-12
+    assert result.final_dist[0][1] == 0.0 < fock_distribution(rho)[0]  # outside the window
+    assert_matches_full_space(result, series, rho, atol=1e-14)
+
+
+def even_cat(alpha, dim):
+    amps = make_coherent(alpha, dim).amps.copy()
+    amps[1::2] = 0.0
+    return FockVector(amps).normalized()
+
+
+def random_phase_state(dim):
+    rng = np.random.default_rng(21)
+    amps = make_coherent(4.0, dim).amps * np.exp(2j * np.pi * rng.random(dim))
+    return FockVector(amps)
+
+
+@pytest.mark.parametrize(
+    "make_state, real",
+    [
+        (lambda dim: make_coherent(4.0 * cmath.exp(1.1j), dim), True),
+        (lambda dim: even_cat(4.0 * cmath.exp(0.3j), dim), True),
+        (random_phase_state, False),
+    ],
+    ids=["complex-alpha-coherent", "even-cat", "random-phase"],
+)
+@pytest.mark.parametrize("mode", [Mode.ADD, Mode.SUBTRACT])
+def test_sweep_matches_full_space(mode, make_state, real):
+    # lo = 0 here; the cat's support skips every odd level, and the random
+    # phases do not step by one constant, so that state runs complex
+    m = 12
+    psi = make_state(default_dim(4.0, 2 * m))
+    assert dynamics._has_phase_ramp(psi.amps) is real
+    result = run_protocol(psi, m, mode)
+    series, rho = full_space_loop(psi, m, mode)
+    assert_matches_full_space(result, series, rho, atol=1e-14)
+
+
+def test_coherent_states_run_real_up_to_the_memory_budget():
+    # parse_config budgets a float64 window matrix for every coherent input
+    # it admits; |alpha| = 800 is near the largest it admits
+    for alpha in (300.0 * cmath.exp(0.7j), 800.0 * cmath.exp(2.9j)):
+        psi = make_coherent(alpha, default_dim(alpha, 100))
+        assert dynamics._has_phase_ramp(psi.amps)
 
 
 def test_subtract_window_guards_bottom_mass():
     # a window starting at level 5 with all its mass on its bottom level:
     # V^2 would push it below the window
     lo, dim = 5, 13
-    buf = np.zeros((dim - lo, dim - lo), dtype=complex)
+    padded = np.zeros((dim - lo + 4, dim - lo + 4), dtype=complex)
+    buf = padded[2:-2, 2:-2]
     buf[0, 0] = 1.0
+    u = np.zeros(dim - lo)
     c, s = dynamics._pass_diagonals(lo, dim, Mode.SUBTRACT)
     with pytest.raises(TruncationTooSmall, match="bottom-two"):
-        dynamics._pass_inplace(buf, np.empty_like(buf), c, s, Mode.SUBTRACT, DEFAULT_TOL, lo)
+        dynamics._sweep(padded, c, s, u, Mode.SUBTRACT, DEFAULT_TOL, lo)
     # at lo = 0 the same mass sits on the dark level |0> and stays put
     c, s = dynamics._pass_diagonals(0, dim - lo, Mode.SUBTRACT)
-    dynamics._pass_inplace(buf, np.empty_like(buf), c, s, Mode.SUBTRACT, DEFAULT_TOL)
+    dynamics._sweep(padded, c, s, u, Mode.SUBTRACT, DEFAULT_TOL)
     assert buf[0, 0] == 1.0
+
+
+def test_sweep_guards_top_mass():
+    # all the mass on the top level, which V^dag^2 would push out of the space
+    dim = 13
+    padded = np.zeros((dim + 4, dim + 4))
+    padded[dim + 1, dim + 1] = 1.0
+    c, s = dynamics._pass_diagonals(0, dim, Mode.ADD)
+    with pytest.raises(TruncationTooSmall, match="top-two"):
+        dynamics._sweep(padded, c, s, np.zeros(dim), Mode.ADD, DEFAULT_TOL)
 
 
 def test_protocol_m0_is_identity():

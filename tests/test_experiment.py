@@ -15,12 +15,17 @@ from tpjc import (
     approx_error_table,
     load_config,
     load_result,
+    make_coherent,
+    mandel_q,
+    mandel_q_coherent_predict,
     oracle_check,
     run,
     run_experiment,
+    subtract_photons_ideal,
 )
 from tpjc.experiment import (
     KNOWN_OUTPUTS,
+    MEMORY_BUDGET,
     emit_distribution_csv,
     emit_fidelity_csv,
     emit_json,
@@ -161,6 +166,13 @@ def test_parse_config_returns_runnable_config_or_rejects(data):
     dim = config.resolved_dim()
     assert isinstance(dim, int) and 1 <= dim <= np.iinfo(np.intp).max
     assert math.isfinite(abs(config.alpha))
+    # the protocol's window starts no lower than the Poisson Chernoff bound
+    # |alpha|^2 - 9.6 |alpha| (minus 2m for subtraction), and its float64
+    # matrix plus the coherent build's arrays fit the budget
+    r = abs(config.alpha)
+    shift = 2 * config.m if config.mode is Mode.SUBTRACT else 0
+    width = dim - max(0, math.floor(r * r - 9.6 * r) - shift)
+    assert width * width * 8 + dim * 6 * 16 <= MEMORY_BUDGET
     for value in dataclasses.astuple(config.tolerances):
         assert 0.0 <= value < math.inf
 
@@ -182,6 +194,17 @@ def test_run_small_experiment(tmp_path):
     assert result.fidelity_series[0][0] == 0
     assert result.fidelity_series[0][1] == pytest.approx(1.0, abs=1e-12)
     assert result.mandel_q_predicted == pytest.approx(-4.0 / 13.0)
+
+
+def test_run_predicts_subtract_q_of_the_ideal_state(tmp_path):
+    # at |alpha|^2 = 9 the two subtraction steps drop low components the
+    # shift form leaves out, so it would report 4/5 instead
+    config = parse_config({"alpha": 3.0, "mode": "subtract", "m": 2})
+    result, _ = run_experiment(config, tmp_path / "out")
+    psi0 = make_coherent(3.0, config.resolved_dim())
+    expected = mandel_q(subtract_photons_ideal(psi0, 2)[0])
+    assert result.mandel_q_predicted == expected
+    assert abs(expected - mandel_q_coherent_predict(3.0, 2, Mode.SUBTRACT)) > 1e-3
 
 
 def test_run_m0_distribution_unchanged(tmp_path):
