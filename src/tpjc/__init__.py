@@ -28,7 +28,6 @@ from .fock import (
     make_coherent,
     make_fock,
     mean_photon,
-    photon_moment2,
     pure_density,
 )
 from .sg import (
@@ -47,7 +46,6 @@ from .sg import (
 )
 from .dynamics import (
     ProtocolResult,
-    TpjcParams,
     approx_error,
     build_hamiltonian,
     evolve_closed_form,

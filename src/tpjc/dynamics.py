@@ -5,7 +5,8 @@ Everything here is in the interaction picture of the resonant model
 g (a^2 sigma+ + a^dag^2 sigma-) exchanges photons in pairs with the
 n-dependent rate Omega(n) = g sqrt((n+2)(n+1)). The propagator couples
 each pair (|n, e>, |n+2, g>) as an independent 2x2 rotation and leaves
-|0, g> and |1, g> dark.
+|0, g> and |1, g> dark. Only the product gt enters, so the propagators
+take the angle gt and the Hamiltonian is in units of g.
 
 The closed-form propagator is applied as index shifts and diagonal
 scalings; :func:`evolve_oracle` re-derives the same evolution by dense
@@ -42,39 +43,18 @@ from .fock import (
 from .sg import Mode, _mandel_q, ideal_state, low_component_mass
 
 
-@dataclass(frozen=True)
-class TpjcParams:
-    """Coupling rate g (1/time) and evolution time t."""
-
-    g: float
-    t: float
-
-    def __post_init__(self) -> None:
-        if not self.g > 0.0:
-            raise ValueError(f"coupling g must be positive, got {self.g}")
-        if self.t < 0.0:
-            raise ValueError(f"time t must be non-negative, got {self.t}")
-
-
 def rabi_angle(n, gt: float):
     """Rotation angle Omega(n) t = gt sqrt((n+2)(n+1)) of the pair (|n, e>, |n+2, g>).
 
-    At gt = g it is the rate Omega(n). It vanishes at n = -1 and n = -2,
+    At gt = 1 it is Omega(n) / g. It vanishes at n = -1 and n = -2,
     so Omega(n-2) leaves |1, g> and |0, g> dark.
     """
     return gt * np.sqrt((n + 2.0) * (n + 1.0))
 
 
-def _block_diagonals(dim: int, gt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """cos/sin of Omega(n) t and cos of Omega(n-2) t as diagonal arrays."""
-    n = np.arange(dim, dtype=float)
-    theta = rabi_angle(n, gt)
-    return np.cos(theta), np.sin(theta), np.cos(rabi_angle(n - 2.0, gt))
-
-
 def evolve_closed_form(
     state: QubitFieldState,
-    params: TpjcParams,
+    gt: float,
     tol: Tolerances = DEFAULT_TOL,
 ) -> QubitFieldState:
     """Closed-form propagator:
@@ -93,53 +73,52 @@ def evolve_closed_form(
             f"top-two excited amplitudes reach {top:.3e} (> tail_tol={tol.tail_tol:.3e}); "
             f"enlarge dim={dim}"
         )
-    gt = params.g * params.t
-    cos_w, sin_w, cos_wm = _block_diagonals(dim, gt)
+    n = np.arange(dim, dtype=float)
+    theta = rabi_angle(n, gt)
+    cos_w, sin_w = np.cos(theta), np.sin(theta)
 
     v2g = np.zeros(dim, dtype=complex)
-    if dim > 2:
-        v2g[: dim - 2] = g[2:]
+    v2g[: dim - 2] = g[2:]
     e_new = cos_w * e - 1j * sin_w * v2g
 
     sin_e = sin_w * e
     raised = np.zeros(dim, dtype=complex)
-    if dim > 2:
-        raised[2:] = sin_e[: dim - 2]
-    g_new = -1j * raised + cos_wm * g
+    raised[2:] = sin_e[: dim - 2]
+    g_new = -1j * raised + np.cos(rabi_angle(n - 2.0, gt)) * g
     return QubitFieldState(e_new, g_new)
 
 
-def build_hamiltonian(dim: int, g: float) -> np.ndarray:
-    """Dense 2N x 2N interaction Hamiltonian g (a^2 sigma+ + a^dag^2 sigma-).
+def build_hamiltonian(dim: int) -> np.ndarray:
+    """Dense 2N x 2N interaction Hamiltonian a^2 sigma+ + a^dag^2 sigma-, in units of g.
 
     Basis ordering: rows 0..N-1 are |n, e>, rows N..2N-1 are |n, g>.
     The only nonzero elements couple |n, e> <-> |n+2, g> with
-    g sqrt((n+2)(n+1)); the diagonal vanishes on resonance in the
+    sqrt((n+2)(n+1)); the diagonal vanishes on resonance in the
     interaction picture.
     """
     if dim < 3:
         raise ValueError(f"dim must be >= 3 to hold a two-photon exchange, got {dim}")
     h = np.zeros((2 * dim, 2 * dim), dtype=complex)
     n = np.arange(dim - 2)
-    elem = rabi_angle(n, g)
+    elem = rabi_angle(n, 1.0)
     h[dim + n + 2, n] = elem
     h[n, dim + n + 2] = elem
     return h
 
 
-def evolve_oracle(state: QubitFieldState, params: TpjcParams) -> QubitFieldState:
-    """exp(-i H t) via dense Hermitian eigendecomposition.
+def evolve_oracle(state: QubitFieldState, gt: float) -> QubitFieldState:
+    """exp(-i H gt), H in units of g, via dense Hermitian eigendecomposition.
 
     Independent of the closed form; used to certify it.
     """
     dim = state.dim
-    h = build_hamiltonian(dim, params.g)
+    h = build_hamiltonian(dim)
     try:
         evals, evecs = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
         raise DiagonalizationFailure(f"eigh failed on the {2 * dim}x{2 * dim} Hamiltonian") from exc
     vec = np.concatenate([state.e_amps, state.g_amps])
-    phases = np.exp(-1j * evals * params.t)
+    phases = np.exp(-1j * evals * gt)
     out = evecs @ (phases * (evecs.conj().T @ vec))
     return QubitFieldState(out[:dim], out[dim:])
 

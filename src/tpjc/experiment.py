@@ -13,14 +13,13 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .dynamics import (
     ProtocolResult,
-    TpjcParams,
     approx_error,
     evolve_closed_form,
     evolve_oracle,
@@ -36,10 +35,8 @@ from .fock import (
 )
 from .sg import Mode, ideal_state, mandel_q, mandel_q_coherent_predict
 
-DEFAULT_OUTPUTS = ("fock_dist", "fidelity_series", "mandel_q", "mean_photon")
-
-# Fixed parameters for analyses embedded in a config run, so the output
-# stays deterministic without extra config surface.
+# `tpjc oracle-check`: default dim, trials and seed, the fixed angles gt it
+# compares at, and its pass bound. `tpjc approx-table`: default largest j.
 ORACLE_CHECK_DIM = 64
 ORACLE_CHECK_TRIALS = 100
 ORACLE_CHECK_SEED = 42
@@ -67,11 +64,6 @@ _OUTPUTS = {
         "mean_photon.json",
         lambda r, path: _emit_fields(r, path, "mean_photon_initial", "mean_photon_final"),
     ),
-    "approx_error_table": (
-        "approx_error_table.csv",
-        lambda r, path: emit_approx_table_csv(approx_error_table(APPROX_TABLE_MAX_J), path),
-    ),
-    "oracle_check": ("oracle_check.json", lambda r, path: emit_oracle_report(oracle_check(), path)),
 }
 
 KNOWN_OUTPUTS = tuple(_OUTPUTS)
@@ -86,7 +78,7 @@ class ExperimentConfig:
     m: int
     dim: int | None = None
     tolerances: Tolerances = DEFAULT_TOL
-    outputs: tuple[str, ...] = DEFAULT_OUTPUTS
+    outputs: tuple[str, ...] = KNOWN_OUTPUTS
 
     def resolved_dim(self) -> int:
         return self.dim if self.dim is not None else self.minimum_dim()
@@ -152,7 +144,7 @@ def parse_config(data: dict) -> ExperimentConfig:
                 raise ConfigInvalid(f"tolerance {name} must be a finite non-negative number")
         tol = replace(tol, **{k: float(v) for k, v in over.items()})
 
-    outputs = data.get("outputs", list(DEFAULT_OUTPUTS))
+    outputs = data.get("outputs", list(KNOWN_OUTPUTS))
     if not isinstance(outputs, list) or not all(isinstance(o, str) for o in outputs):
         raise ConfigInvalid("outputs must be a list of output names")
     bad_outputs = [o for o in outputs if o not in KNOWN_OUTPUTS]
@@ -198,12 +190,14 @@ def parse_config(data: dict) -> ExperimentConfig:
 
 def load_config(path: str | Path) -> ExperimentConfig:
     try:
-        text = Path(path).read_text()
+        raw = Path(path).read_bytes()
     except OSError as exc:
         raise ConfigInvalid(f"cannot read config {path}: {exc}") from exc
+    # ValueError: JSONDecodeError, UnicodeDecodeError, or an integer literal
+    # over the digit limit. RecursionError: nesting deeper than the limit.
     try:
-        data = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an integer literal over the digit limit
+        data = json.loads(raw)
+    except (ValueError, RecursionError) as exc:
         raise ConfigInvalid(f"config {path} is not valid JSON: {exc}") from exc
     return parse_config(data)
 
@@ -241,23 +235,11 @@ def _write_text(path: str | Path, text: str) -> None:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 
-def result_to_dict(result: ProtocolResult) -> dict:
-    return {
-        "fidelity_series": [[k, f] for k, f in result.fidelity_series],
-        "initial_dist": [[j, p] for j, p in result.initial_dist],
-        "final_dist": [[j, p] for j, p in result.final_dist],
-        "mean_photon_initial": result.mean_photon_initial,
-        "mean_photon_final": result.mean_photon_final,
-        "mandel_q_final": result.mandel_q_final,
-        "mandel_q_predicted": result.mandel_q_predicted,
-        "warnings": list(result.warnings),
-    }
-
-
 def emit_json(result: ProtocolResult, path: str | Path) -> None:
-    """Full result as JSON, field names matching ProtocolResult."""
-    data = result_to_dict(result)
-    lines = ",\n".join(f"  {_json_value(k)}: {_json_value(v)}" for k, v in data.items())
+    """Full result as JSON, one line per ProtocolResult field, in field order."""
+    lines = ",\n".join(
+        f"  {_json_value(f.name)}: {_json_value(getattr(result, f.name))}" for f in fields(result)
+    )
     _write_text(path, "{\n" + lines + "\n}\n")
 
 
@@ -357,30 +339,31 @@ def oracle_check(
     dim: int = ORACLE_CHECK_DIM,
     trials: int = ORACLE_CHECK_TRIALS,
     seed: int = ORACLE_CHECK_SEED,
-    times: tuple[float, ...] = ORACLE_CHECK_TIMES,
 ) -> OracleReport:
-    """Evolve seeded random joint states with both propagators and report
-    the worst vector-norm deviation."""
+    """Evolve seeded random joint states with both propagators for each
+    angle gt in ``ORACLE_CHECK_TIMES`` and report the worst vector-norm
+    deviation."""
     if dim < 3 or dim > 128:
         raise ConfigInvalid(f"oracle check dim must be in [3, 128], got {dim}")
     if trials < 0:
         raise ConfigInvalid(f"trials must be >= 0, got {trials}")
+    if seed < 0:
+        raise ConfigInvalid(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):
         state = _random_joint_state(rng, dim)
-        for t in times:
-            params = TpjcParams(g=1.0, t=t)
-            a = evolve_closed_form(state, params)
-            b = evolve_oracle(state, params)
+        for t in ORACLE_CHECK_TIMES:
+            a = evolve_closed_form(state, t)
+            b = evolve_oracle(state, t)
             delta = np.concatenate([a.e_amps - b.e_amps, a.g_amps - b.g_amps])
             worst = max(worst, float(np.linalg.norm(delta)))
     return OracleReport(
         dim=dim,
         trials=trials,
         seed=seed,
-        times=tuple(float(t) for t in times),
-        comparisons=trials * len(times),
+        times=ORACLE_CHECK_TIMES,
+        comparisons=trials * len(ORACLE_CHECK_TIMES),
         max_deviation=worst,
     )
 

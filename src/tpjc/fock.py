@@ -267,11 +267,6 @@ def mean_photon(state: FockVector | DensityMatrix) -> float:
     return _moments(fock_distribution(state))[0]
 
 
-def photon_moment2(state: FockVector | DensityMatrix) -> float:
-    """Second moment sum_j j^2 p_j of the Fock distribution."""
-    return _moments(fock_distribution(state))[1]
-
-
 def _unit_clamp(value) -> float:
     return float(min(1.0, max(0.0, value)))
 

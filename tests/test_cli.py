@@ -126,6 +126,29 @@ def test_run_rejects_missing_config(tmp_path, capsys):
     assert "invalid config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "raw",
+    [
+        b'\xff\xfe{"alpha": 1, "mode": "add", "m": 1}',
+        b'\xff\xfe{"alpha": 1, "mode": "add", "m": 10}',
+        b'{"alpha": 1, "mode": "\x80"}',
+        b"[" * 100000,
+    ],
+    ids=["utf16-bom-odd", "utf16-bom-even", "not-utf8", "deep-nesting"],
+)
+def test_run_rejects_undecodable_config(tmp_path, capsys, raw):
+    # a UTF-16 byte-order mark over UTF-8 text (odd and even length), bytes
+    # that are not UTF-8, and nesting deeper than the parser's recursion limit
+    config = tmp_path / "config.json"
+    config.write_bytes(raw)
+    rc = main(["run", str(config), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.count("\n") == 1
+    assert "invalid config" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_rejects_undersized_dim_with_minimum(tmp_path, capsys):
     config = write_config(tmp_path, dim=10)
     rc = main(["run", str(config), "--out", str(tmp_path / "out")])
@@ -169,6 +192,14 @@ def test_oracle_check_rejects_large_dim(capsys):
     rc = main(["oracle-check", "--dim", "4096", "--trials", "1"])
     assert rc == 2
     assert "invalid config" in capsys.readouterr().err
+
+
+def test_oracle_check_rejects_negative_seed(capsys):
+    rc = main(["oracle-check", "--dim", "16", "--trials", "1", "--seed", "-1"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.count("\n") == 1
+    assert "invalid config" in err and "seed" in err
 
 
 def test_approx_table_stdout(capsys):

@@ -13,7 +13,6 @@ from tpjc import (
     LOW_MASS_TOL,
     Mode,
     QubitFieldState,
-    TpjcParams,
     TruncationTooSmall,
     add_photons_ideal,
     apply_lower,
@@ -68,18 +67,11 @@ def deviation(a: QubitFieldState, b: QubitFieldState) -> float:
 
 
 # ---------------------------------------------------------------------------
-# parameters and frequency
-
-
-def test_params_validation():
-    with pytest.raises(ValueError):
-        TpjcParams(g=0.0, t=1.0)
-    with pytest.raises(ValueError):
-        TpjcParams(g=1.0, t=-0.1)
+# Rabi angle
 
 
 def test_rabi_angle():
-    # at gt = g the angle is the rate Omega(n) = g sqrt((n+2)(n+1))
+    # the angle is gt sqrt((n+2)(n+1)), increasing in n
     assert rabi_angle(0, 2.0) == pytest.approx(2.0 * math.sqrt(2.0))
     values = rabi_angle(np.arange(20), 2.0)
     assert np.all(np.diff(values) > 0)
@@ -95,7 +87,7 @@ def test_rabi_angle():
 def test_evolve_t0_identity():
     rng = np.random.default_rng(1)
     state = random_joint_state(rng, 24)
-    out = evolve_closed_form(state, TpjcParams(g=1.0, t=0.0))
+    out = evolve_closed_form(state, 0.0)
     assert deviation(out, state) < 1e-15
 
 
@@ -106,7 +98,7 @@ def test_evolve_vacuum_excited_block():
     e[0] = 1.0
     state = QubitFieldState(e, np.zeros(dim, dtype=complex))
     for gt in (0.3, 0.7, 2.0):
-        out = evolve_closed_form(state, TpjcParams(g=1.0, t=gt))
+        out = evolve_closed_form(state, gt)
         assert abs(out.e_amps[0] - math.cos(math.sqrt(2.0) * gt)) < 1e-14
         assert abs(out.g_amps[2] - (-1j) * math.sin(math.sqrt(2.0) * gt)) < 1e-14
         others = np.concatenate([out.e_amps[1:], out.g_amps[:2], out.g_amps[3:]])
@@ -119,7 +111,7 @@ def test_evolve_vacuum_ground_is_dark():
     g[0] = 1.0
     state = QubitFieldState(np.zeros(dim, dtype=complex), g)
     for gt in (0.5, math.pi, 9.0):
-        out = evolve_closed_form(state, TpjcParams(g=1.0, t=gt))
+        out = evolve_closed_form(state, gt)
         assert deviation(out, state) == 0.0
 
 
@@ -129,14 +121,32 @@ def test_evolve_guards_top_excited_amplitudes():
     e[dim - 1] = 1.0
     state = QubitFieldState(e, np.zeros(dim, dtype=complex))
     with pytest.raises(TruncationTooSmall):
-        evolve_closed_form(state, TpjcParams(g=1.0, t=1.0))
+        evolve_closed_form(state, 1.0)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_evolve_below_three_levels_is_dark_or_truncated(dim):
+    # Every level is dark in the ground component and in the top two of the
+    # excited one, so the propagator's shifted slices are empty.
+    rng = np.random.default_rng(dim)
+    zeros = np.zeros(dim, dtype=complex)
+    g = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    for gt in (0.0, 0.3, math.pi, 7.1, 1e6):
+        out = evolve_closed_form(QubitFieldState(zeros, g), gt)
+        assert np.all(out.e_amps == 0.0)
+        assert np.all(out.g_amps == g)
+    for j in range(dim):
+        e = zeros.copy()
+        e[j] = 1e-3
+        with pytest.raises(TruncationTooSmall):
+            evolve_closed_form(QubitFieldState(e, g), math.pi)
 
 
 def test_evolve_preserves_joint_norm():
     rng = np.random.default_rng(4)
     for _ in range(10):
         state = random_joint_state(rng, 48)
-        out = evolve_closed_form(state, TpjcParams(g=1.0, t=math.pi))
+        out = evolve_closed_form(state, math.pi)
         assert abs(out.joint_norm() - 1.0) < 1e-10
 
 
@@ -146,9 +156,10 @@ def test_evolve_preserves_joint_norm():
 
 def test_hamiltonian_matrix_elements():
     dim = 8
-    h = build_hamiltonian(dim, 1.3)
-    assert h[dim + 2, 0] == pytest.approx(1.3 * math.sqrt(2.0))
-    assert h[dim + 5, 3] == pytest.approx(1.3 * math.sqrt(5.0 * 4.0))
+    h = build_hamiltonian(dim)
+    # in units of g
+    assert h[dim + 2, 0] == math.sqrt(2.0)
+    assert h[dim + 5, 3] == pytest.approx(math.sqrt(5.0 * 4.0))
     # no coupling inside the excited or ground blocks
     assert np.all(h[:dim, :dim] == 0.0)
     assert np.all(h[dim:, dim:] == 0.0)
@@ -157,15 +168,15 @@ def test_hamiltonian_matrix_elements():
 
 def test_hamiltonian_needs_three_levels():
     with pytest.raises(ValueError):
-        build_hamiltonian(2, 1.0)
+        build_hamiltonian(2)
 
 
 def test_oracle_t0_identity_and_unitarity():
     rng = np.random.default_rng(6)
     state = random_joint_state(rng, 20)
-    out0 = evolve_oracle(state, TpjcParams(g=1.0, t=0.0))
+    out0 = evolve_oracle(state, 0.0)
     assert deviation(out0, state) < 1e-12
-    out = evolve_oracle(state, TpjcParams(g=1.0, t=math.pi))
+    out = evolve_oracle(state, math.pi)
     assert abs(out.joint_norm() - 1.0) < 1e-10
 
 
@@ -174,19 +185,10 @@ def test_closed_form_matches_oracle():
     worst = 0.0
     for _ in range(20):
         state = random_joint_state(rng, 48)
-        for gt in (0.3, math.pi, 7.1):
-            params = TpjcParams(g=1.0, t=gt)
-            worst = max(
-                worst, deviation(evolve_closed_form(state, params), evolve_oracle(state, params))
-            )
+        # 0.37 * 5.0 is the angle of coupling g = 0.37 over t = 5
+        for gt in (0.3, math.pi, 7.1, 0.37 * 5.0):
+            worst = max(worst, deviation(evolve_closed_form(state, gt), evolve_oracle(state, gt)))
     assert worst < 1e-8
-
-
-def test_closed_form_matches_oracle_g_not_one():
-    rng = np.random.default_rng(15)
-    state = random_joint_state(rng, 32)
-    params = TpjcParams(g=0.37, t=5.0)
-    assert deviation(evolve_closed_form(state, params), evolve_oracle(state, params)) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -243,15 +245,13 @@ def test_pass_maps_match_reduced_evolution():
             ]
         )
     ).normalized()
-    params = TpjcParams(g=1.0, t=math.pi)
-
     excited = QubitFieldState(psi.amps, np.zeros(dim, dtype=complex))
-    out = evolve_closed_form(excited, params)
+    out = evolve_closed_form(excited, math.pi)
     reduced = np.outer(out.e_amps, out.e_amps.conj()) + np.outer(out.g_amps, out.g_amps.conj())
     np.testing.assert_allclose(pass_add(pure_density(psi)).elems, reduced, atol=1e-12)
 
     ground = QubitFieldState(np.zeros(dim, dtype=complex), psi.amps)
-    out = evolve_closed_form(ground, params)
+    out = evolve_closed_form(ground, math.pi)
     reduced = np.outer(out.e_amps, out.e_amps.conj()) + np.outer(out.g_amps, out.g_amps.conj())
     np.testing.assert_allclose(pass_subtract(pure_density(psi)).elems, reduced, atol=1e-12)
 
@@ -269,7 +269,7 @@ def test_single_pass_approximates_photon_addition():
     psi = FockVector(raw).normalized()
 
     out = evolve_closed_form(
-        QubitFieldState(psi.amps, np.zeros(dim, dtype=complex)), TpjcParams(g=1.0, t=math.pi)
+        QubitFieldState(psi.amps, np.zeros(dim, dtype=complex)), math.pi
     )
     ideal = add_photons_ideal(psi, 1)
     overlap_sq = abs(np.vdot(ideal.amps, out.g_amps)) ** 2
@@ -295,7 +295,7 @@ def test_single_pass_approximates_photon_subtraction():
     psi = FockVector(raw).normalized()
 
     out = evolve_closed_form(
-        QubitFieldState(np.zeros(dim, dtype=complex), psi.amps), TpjcParams(g=1.0, t=math.pi)
+        QubitFieldState(np.zeros(dim, dtype=complex), psi.amps), math.pi
     )
     ideal, _ = subtract_photons_ideal(psi, 1)
     overlap_sq = abs(np.vdot(ideal.amps, out.e_amps)) ** 2

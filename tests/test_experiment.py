@@ -3,6 +3,8 @@
 import dataclasses
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from tpjc import (
     run_experiment,
     subtract_photons_ideal,
 )
+from tpjc.cli import main
 from tpjc.experiment import (
     KNOWN_OUTPUTS,
     MEMORY_BUDGET,
@@ -91,6 +94,9 @@ def test_config_rejects_undersized_dim():
         {"alpha": [1.0, -(10**400)], "mode": "add", "m": 1},
         {"alpha": 5.0, "mode": "add", "m": 1, "tolerances": {"herm_tol": 1e-10}},
         {"alpha": 5.0, "mode": "add", "m": 1, "tolerances": {"psd_tol": 1e-8}},
+        # the oracle report and the approx table come from their subcommands
+        {"alpha": 5.0, "mode": "add", "m": 1, "outputs": ["oracle_check"]},
+        {"alpha": 5.0, "mode": "add", "m": 1, "outputs": ["approx_error_table"]},
     ],
 )
 def test_config_rejects_invalid_fields(bad):
@@ -175,6 +181,45 @@ def test_parse_config_returns_runnable_config_or_rejects(data):
     assert width * width * 8 + dim * 6 * 16 <= MEMORY_BUDGET
     for value in dataclasses.astuple(config.tolerances):
         assert 0.0 <= value < math.inf
+
+
+# Configs small enough to run in milliseconds (|alpha| <= 4, m <= 6,
+# dim <= 200) with the field and tolerance strategies above, then at most
+# one field that does not size the run set to any primitive.
+_tiny_alpha = st.floats(-2.8, 2.8)
+_tiny_configs = st.builds(
+    lambda base, override: {**base, **override},
+    st.fixed_dictionaries(
+        {
+            "alpha": st.one_of(
+                st.floats(-4.0, 4.0), st.lists(_tiny_alpha, min_size=2, max_size=2)
+            ),
+            "mode": st.sampled_from(["add", "subtract"]),
+            "m": st.integers(0, 6),
+        },
+        optional={
+            "dim": st.integers(1, 200),
+            "tolerances": st.dictionaries(
+                st.sampled_from(["norm_tol", "tail_tol", "herm_tol"]), _number, max_size=2
+            ),
+            "outputs": st.lists(st.sampled_from(KNOWN_OUTPUTS + ("plots",)), max_size=3),
+        },
+    ),
+    st.dictionaries(
+        st.sampled_from(["mode", "tolerances", "outputs", "extra_field"]), _primitive, max_size=1
+    ),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(_tiny_configs.map(lambda d: json.dumps(d).encode()), st.binary(max_size=64)))
+@example(b"\xff\xfe{}")
+@example(b"[" * 100000)
+def test_cli_run_exits_with_a_documented_code(raw):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_bytes(raw)
+        assert main(["run", str(path), "--out", str(Path(tmp) / "out")]) in (0, 1, 2, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +355,11 @@ def test_oracle_check_deterministic():
 def test_oracle_check_validates_dim():
     with pytest.raises(ConfigInvalid):
         oracle_check(dim=256, trials=1, seed=0)
+
+
+def test_oracle_check_rejects_negative_seed():
+    with pytest.raises(ConfigInvalid, match="seed"):
+        oracle_check(dim=16, trials=1, seed=-1)
 
 
 def test_approx_error_table_shape():

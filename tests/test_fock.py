@@ -23,8 +23,8 @@ from tpjc import (
     fock_distribution,
     make_coherent,
     make_fock,
+    mandel_q,
     mean_photon,
-    photon_moment2,
     pure_density,
 )
 
@@ -190,13 +190,13 @@ def test_ladder_round_trip_property(data):
 def test_fock_state_moments():
     psi = make_fock(7, 16)
     assert mean_photon(psi) == 7.0
-    assert photon_moment2(psi) == 49.0
+    assert mandel_q(psi) == -1.0
 
 
 def test_coherent_moments_poisson():
     psi = make_coherent(5, 200)
     assert abs(mean_photon(psi) - 25.0) < 1e-10
-    assert abs(photon_moment2(psi) - 650.0) < 1e-8
+    assert abs(mandel_q(psi)) < 1e-8
 
 
 def test_distribution_fock_and_coherent():
