@@ -40,7 +40,6 @@ from .sg import (
     low_component_mass,
     mandel_q,
     mandel_q_coherent_predict,
-    mandel_q_shift_predict,
     subtract_photons_ideal,
     subtracted_mean_predict,
 )

@@ -52,11 +52,7 @@ def rabi_angle(n, gt: float):
     return gt * np.sqrt((n + 2.0) * (n + 1.0))
 
 
-def evolve_closed_form(
-    state: QubitFieldState,
-    gt: float,
-    tol: Tolerances = DEFAULT_TOL,
-) -> QubitFieldState:
+def evolve_closed_form(state: QubitFieldState, gt: float) -> QubitFieldState:
     """Closed-form propagator:
 
         e' = cos[Omega(n) t] e  - i sin[Omega(n) t] V^2 g
@@ -68,9 +64,9 @@ def evolve_closed_form(
     dim = state.dim
     e, g = state.e_amps, state.g_amps
     top = float(np.max(np.abs(e[max(0, dim - 2):])))
-    if top > tol.tail_tol:
+    if top > DEFAULT_TOL.tail_tol:
         raise TruncationTooSmall(
-            f"top-two excited amplitudes reach {top:.3e} (> tail_tol={tol.tail_tol:.3e}); "
+            f"top-two excited amplitudes reach {top:.3e} (> tail_tol={DEFAULT_TOL.tail_tol:.3e}); "
             f"enlarge dim={dim}"
         )
     n = np.arange(dim, dtype=float)
@@ -153,7 +149,7 @@ def _full_pass(rho: DensityMatrix, mode: Mode) -> DensityMatrix:
     return DensityMatrix(out)
 
 
-def pass_add(rho: DensityMatrix, tol: Tolerances = DEFAULT_TOL) -> DensityMatrix:
+def pass_add(rho: DensityMatrix) -> DensityMatrix:
     """One excited-qubit pass at gt = pi:
 
         rho' = C rho C + V^dag^2 S rho S V^2,
@@ -162,7 +158,7 @@ def pass_add(rho: DensityMatrix, tol: Tolerances = DEFAULT_TOL) -> DensityMatrix
     Trace-preserving provided the top two diagonal entries are negligible
     (they are shifted out of the truncation by V^dag^2).
     """
-    _check_edge_mass(np.trace(rho.elems[-2:, -2:]).real, tol, "top-two", f"; enlarge dim={rho.dim}")
+    _check_edge_mass(np.trace(rho.elems[-2:, -2:]).real, DEFAULT_TOL, "top-two", f"; enlarge dim={rho.dim}")
     return _full_pass(rho, Mode.ADD)
 
 

@@ -2,8 +2,8 @@
 
 One JSON config describes one protocol run (coherent base, direction,
 repetition count). The runner executes the pass iteration, then writes
-``result.json`` (the full result, always) plus one file per requested
-output. Every number is serialized with 17 significant digits and the
+``result.json`` (the full result) and four summary files, always the
+same five. Every number is serialized with 17 significant digits and the
 pipeline contains no randomness outside the explicitly seeded oracle
 check, so identical configs produce byte-identical files.
 """
@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import (
+    WINDOW_MASS_TOL,
     ProtocolResult,
     approx_error,
     evolve_closed_form,
@@ -50,23 +51,10 @@ APPROX_TABLE_MAX_J = 200
 # host it runs on.
 MEMORY_BUDGET = 2 << 30
 
-# name -> (file, writer(result, path)). The writers look the emitters up
-# when they run, so a wrapped emitter (as perfbench's tracer installs) is
-# the one called.
-_OUTPUTS = {
-    "fock_dist": ("fock_dist.csv", lambda r, path: emit_distribution_csv(r, path)),
-    "fidelity_series": ("fidelity_series.csv", lambda r, path: emit_fidelity_csv(r, path)),
-    "mandel_q": (
-        "mandel_q.json",
-        lambda r, path: _emit_fields(r, path, "mandel_q_final", "mandel_q_predicted"),
-    ),
-    "mean_photon": (
-        "mean_photon.json",
-        lambda r, path: _emit_fields(r, path, "mean_photon_initial", "mean_photon_final"),
-    ),
-}
-
-KNOWN_OUTPUTS = tuple(_OUTPUTS)
+# Poisson lower tail: P(n <= |alpha|^2 - t) <= exp(-t^2 / 2|alpha|^2), which
+# is WINDOW_MASS_TOL at t = _WINDOW_SIGMAS |alpha| (9.597 |alpha|), so
+# run_protocol's window starts at or above |alpha|^2 - t (minus 2m for SUBTRACT).
+_WINDOW_SIGMAS = math.sqrt(-2.0 * math.log(WINDOW_MASS_TOL))
 
 
 @dataclass(frozen=True)
@@ -78,7 +66,6 @@ class ExperimentConfig:
     m: int
     dim: int | None = None
     tolerances: Tolerances = DEFAULT_TOL
-    outputs: tuple[str, ...] = KNOWN_OUTPUTS
 
     def resolved_dim(self) -> int:
         return self.dim if self.dim is not None else self.minimum_dim()
@@ -108,7 +95,7 @@ def parse_config(data: dict) -> ExperimentConfig:
     offending field named."""
     if not isinstance(data, dict):
         raise ConfigInvalid("config must be a JSON object")
-    known = {"alpha", "mode", "m", "dim", "tolerances", "outputs"}
+    known = {"alpha", "mode", "m", "dim", "tolerances"}
     unknown = set(data) - known
     if unknown:
         raise ConfigInvalid(f"unknown config fields: {sorted(unknown)}")
@@ -144,14 +131,7 @@ def parse_config(data: dict) -> ExperimentConfig:
                 raise ConfigInvalid(f"tolerance {name} must be a finite non-negative number")
         tol = replace(tol, **{k: float(v) for k, v in over.items()})
 
-    outputs = data.get("outputs", list(KNOWN_OUTPUTS))
-    if not isinstance(outputs, list) or not all(isinstance(o, str) for o in outputs):
-        raise ConfigInvalid("outputs must be a list of output names")
-    bad_outputs = [o for o in outputs if o not in KNOWN_OUTPUTS]
-    if bad_outputs:
-        raise ConfigInvalid(f"unknown outputs {bad_outputs}; known: {list(KNOWN_OUTPUTS)}")
-
-    config = ExperimentConfig(alpha=alpha, mode=mode, m=m, tolerances=tol, outputs=tuple(outputs))
+    config = ExperimentConfig(alpha=alpha, mode=mode, m=m, tolerances=tol)
     try:
         minimum = config.minimum_dim()
     except OverflowError:  # |alpha|^2 or the photon gain is beyond the float range
@@ -173,11 +153,8 @@ def parse_config(data: dict) -> ExperimentConfig:
             f"dim={resolved} for alpha={alpha}, m={m} exceeds the largest array length "
             f"{np.iinfo(np.intp).max}"
         )
-    # Poisson lower tail: P(n <= |alpha|^2 - t) <= exp(-t^2 / 2|alpha|^2),
-    # below the protocol's WINDOW_MASS_TOL = 1e-20 at t = 9.6 |alpha|, so the
-    # simulated window starts at or above lo (SUBTRACT lowers it by 2m).
     r = abs(alpha)
-    lo = max(0, math.floor(r * r - 9.6 * r) - (2 * m if mode is Mode.SUBTRACT else 0))
+    lo = max(0, math.floor(r * r - _WINDOW_SIGMAS * r) - (2 * m if mode is Mode.SUBTRACT else 0))
     width = resolved - lo
     need = width * width * 8 + resolved * 6 * 16
     if need > MEMORY_BUDGET:
@@ -250,18 +227,21 @@ def _optional_float(value) -> float | None:
 def load_result(path: str | Path) -> ProtocolResult:
     try:
         data = json.loads(Path(path).read_text())
+        return ProtocolResult(
+            fidelity_series=[(int(k), float(f)) for k, f in data["fidelity_series"]],
+            initial_dist=[(int(j), float(p)) for j, p in data["initial_dist"]],
+            final_dist=[(int(j), float(p)) for j, p in data["final_dist"]],
+            mean_photon_initial=float(data["mean_photon_initial"]),
+            mean_photon_final=float(data["mean_photon_final"]),
+            mandel_q_final=_optional_float(data["mandel_q_final"]),
+            mandel_q_predicted=_optional_float(data["mandel_q_predicted"]),
+            warnings=list(data["warnings"]),
+        )
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
-    return ProtocolResult(
-        fidelity_series=[(int(k), float(f)) for k, f in data["fidelity_series"]],
-        initial_dist=[(int(j), float(p)) for j, p in data["initial_dist"]],
-        final_dist=[(int(j), float(p)) for j, p in data["final_dist"]],
-        mean_photon_initial=float(data["mean_photon_initial"]),
-        mean_photon_final=float(data["mean_photon_final"]),
-        mandel_q_final=_optional_float(data["mandel_q_final"]),
-        mandel_q_predicted=_optional_float(data["mandel_q_predicted"]),
-        warnings=list(data["warnings"]),
-    )
+    # ValueError: not JSON or a bad number; KeyError/TypeError: a missing or misshapen field
+    except (ValueError, KeyError, TypeError) as exc:
+        raise IoFailure(f"{path} is not a valid result file: {exc!r}") from exc
 
 
 def _emit_fields(result: ProtocolResult, path: str | Path, *fields: str) -> None:
@@ -386,7 +366,7 @@ def emit_oracle_report(report: OracleReport, path: str | Path) -> None:
 
 
 def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> tuple[ProtocolResult, list[Path]]:
-    """Execute the configured protocol and write the requested files."""
+    """Execute the configured protocol and write its five files."""
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -403,15 +383,14 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> tuple[Proto
         q_predicted = mandel_q(ideal_state(psi0, config.m, config.mode, config.tolerances))
     result = replace(result, mandel_q_predicted=q_predicted)
 
-    written: list[Path] = []
-    result_path = out / "result.json"
-    emit_json(result, result_path)
-    written.append(result_path)
-
-    for output in config.outputs:
-        name, writer = _OUTPUTS[output]
-        writer(result, out / name)
-        written.append(out / name)
+    names = ("result.json", "fock_dist.csv", "fidelity_series.csv", "mandel_q.json", "mean_photon.json")
+    written = [out / name for name in names]
+    result_json, dist_csv, fidelity_csv, q_json, mean_json = written
+    emit_json(result, result_json)
+    emit_distribution_csv(result, dist_csv)
+    emit_fidelity_csv(result, fidelity_csv)
+    _emit_fields(result, q_json, "mandel_q_final", "mandel_q_predicted")
+    _emit_fields(result, mean_json, "mean_photon_initial", "mean_photon_final")
     return result, written
 
 

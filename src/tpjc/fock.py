@@ -130,9 +130,6 @@ class QubitFieldState:
     def dim(self) -> int:
         return self.e_amps.size
 
-    def joint_norm(self) -> float:
-        return float(math.sqrt(np.sum(np.abs(self.e_amps) ** 2) + np.sum(np.abs(self.g_amps) ** 2)))
-
 
 # ---------------------------------------------------------------------------
 # constructors
@@ -216,16 +213,16 @@ def apply_lower(psi: FockVector) -> FockVector:
     return FockVector(out)
 
 
-def apply_raise(psi: FockVector, tol: Tolerances = DEFAULT_TOL) -> FockVector:
+def apply_raise(psi: FockVector) -> FockVector:
     """Bare raising ladder V^dag: |n> -> |n+1>.
 
     The top-of-space amplitude would be pushed out of the truncation, so
     it must already be negligible.
     """
     top = abs(psi.amps[-1])
-    if top > tol.tail_tol:
+    if top > DEFAULT_TOL.tail_tol:
         raise TruncationTooSmall(
-            f"top amplitude {top:.3e} exceeds tail_tol={tol.tail_tol:.3e}; enlarge dim={psi.dim}"
+            f"top amplitude {top:.3e} exceeds tail_tol={DEFAULT_TOL.tail_tol:.3e}; enlarge dim={psi.dim}"
         )
     out = np.zeros(psi.dim, dtype=complex)
     out[1:] = psi.amps[: psi.dim - 1]

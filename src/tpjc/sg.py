@@ -177,13 +177,7 @@ class EigenResidual:
         return min(self.minus_alpha, self.plus_alpha)
 
 
-def eigen_residual(
-    alpha: complex,
-    m: int,
-    mode: Mode,
-    dim: int,
-    tol: Tolerances = DEFAULT_TOL,
-) -> EigenResidual:
+def eigen_residual(alpha: complex, m: int, mode: Mode, dim: int) -> EigenResidual:
     """Check that the ideal ladder coherent state is an eigenstate of apply_A.
 
     Returns || A |state> - lambda |state> || for lambda = -alpha and
@@ -191,8 +185,8 @@ def eigen_residual(
     ``expected`` picks the minus_alpha residual for odd m and plus_alpha
     for even m.
     """
-    base = make_coherent(alpha, dim, tol)
-    state = ideal_state(base, m, mode, tol)
+    base = make_coherent(alpha, dim)
+    state = ideal_state(base, m, mode)
     image = apply_A(state, m, mode)
     r_minus = float(np.linalg.norm(image.amps - (-alpha) * state.amps))
     r_plus = float(np.linalg.norm(image.amps - alpha * state.amps))
@@ -217,26 +211,17 @@ def _mandel_q(p: np.ndarray) -> float:
     return variance / mean - 1.0
 
 
-def mandel_q_shift_predict(q_base: float, n_base: float, m: int, mode: Mode) -> float:
-    """Q of the ladder state from the base state's Q and mean photon number.
-
-    Exact for any shape-preserving +-2m shift of the Fock distribution:
-    the variance is unchanged while the mean moves by +-2m.
-    """
-    shift = 2.0 * m if mode is Mode.ADD else -2.0 * m
-    denom = n_base + shift
-    if denom == 0.0:
-        raise ZeroMeanPhoton("shifted state has zero mean photon number")
-    sign = -1.0 if mode is Mode.ADD else 1.0
-    return (n_base / denom) * q_base + sign * (2.0 * m / denom)
-
-
 def mandel_q_coherent_predict(alpha: complex, m: int, mode: Mode) -> float:
     """Q of the ideal ladder coherent state: -+ 2m / (|alpha|^2 +- 2m).
 
-    Coherent bases are Poissonian (Q = 0), so addition is always
+    A +-2m shift of the Fock distribution keeps the Poissonian variance
+    |alpha|^2 and moves the mean by +-2m, so addition is always
     sub-Poissonian and subtraction super-Poissonian.
     """
     if m == 0:
         return 0.0
-    return mandel_q_shift_predict(0.0, abs(alpha) ** 2, m, mode)
+    sign = -1.0 if mode is Mode.ADD else 1.0
+    denom = abs(alpha) ** 2 - sign * 2.0 * m
+    if denom == 0.0:
+        raise ZeroMeanPhoton("shifted state has zero mean photon number")
+    return sign * (2.0 * m / denom)

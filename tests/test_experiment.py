@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from tpjc import (
     ConfigInvalid,
+    IoFailure,
     Mode,
     approx_error_table,
     load_config,
@@ -26,8 +27,9 @@ from tpjc import (
     subtract_photons_ideal,
 )
 from tpjc.cli import main
+from tpjc.dynamics import WINDOW_MASS_TOL
 from tpjc.experiment import (
-    KNOWN_OUTPUTS,
+    _WINDOW_SIGMAS,
     MEMORY_BUDGET,
     emit_distribution_csv,
     emit_fidelity_csv,
@@ -94,9 +96,17 @@ def test_config_rejects_undersized_dim():
         {"alpha": [1.0, -(10**400)], "mode": "add", "m": 1},
         {"alpha": 5.0, "mode": "add", "m": 1, "tolerances": {"herm_tol": 1e-10}},
         {"alpha": 5.0, "mode": "add", "m": 1, "tolerances": {"psd_tol": 1e-8}},
-        # the oracle report and the approx table come from their subcommands
+        # no config field selects outputs: every run writes the same five
+        # files, and the oracle report and the approx table come from their
+        # subcommands
         {"alpha": 5.0, "mode": "add", "m": 1, "outputs": ["oracle_check"]},
         {"alpha": 5.0, "mode": "add", "m": 1, "outputs": ["approx_error_table"]},
+        {
+            "alpha": 5.0,
+            "mode": "add",
+            "m": 1,
+            "outputs": ["fock_dist", "fidelity_series", "mandel_q", "mean_photon"],
+        },
     ],
 )
 def test_config_rejects_invalid_fields(bad):
@@ -149,7 +159,6 @@ _configs = st.builds(
             "tolerances": st.dictionaries(
                 st.sampled_from(["norm_tol", "tail_tol", "herm_tol"]), _number, max_size=2
             ),
-            "outputs": st.lists(st.sampled_from(KNOWN_OUTPUTS + ("plots",)), max_size=3),
         },
     ),
     st.dictionaries(
@@ -158,6 +167,27 @@ _configs = st.builds(
         max_size=1,
     ),
 )
+
+
+def _budget_lo(config):
+    # the Poisson Chernoff bound |alpha|^2 - _WINDOW_SIGMAS |alpha| (minus 2m
+    # for subtraction) on where the protocol's window starts
+    r = abs(config.alpha)
+    shift = 2 * config.m if config.mode is Mode.SUBTRACT else 0
+    return max(0, math.floor(r * r - _WINDOW_SIGMAS * r) - shift)
+
+
+@pytest.mark.parametrize("m", [10, 50])
+@pytest.mark.parametrize("mode", ["add", "subtract"])
+@pytest.mark.parametrize("alpha", [12.0, 45.0, [100 * math.cos(0.7), 100 * math.sin(0.7)], 300.0])
+def test_budget_window_bound_is_below_protocol_window(alpha, mode, m):
+    # the budget never assumes a narrower window than run_protocol simulates
+    config = parse_config({"alpha": alpha, "mode": mode, "m": m})
+    p0 = np.abs(make_coherent(config.alpha, config.resolved_dim()).amps) ** 2
+    lo = int(np.argmax(np.cumsum(p0) > WINDOW_MASS_TOL))
+    if config.mode is Mode.SUBTRACT:
+        lo = max(0, lo - 2 * m)
+    assert _budget_lo(config) <= lo
 
 
 @settings(max_examples=200, deadline=None)
@@ -172,12 +202,9 @@ def test_parse_config_returns_runnable_config_or_rejects(data):
     dim = config.resolved_dim()
     assert isinstance(dim, int) and 1 <= dim <= np.iinfo(np.intp).max
     assert math.isfinite(abs(config.alpha))
-    # the protocol's window starts no lower than the Poisson Chernoff bound
-    # |alpha|^2 - 9.6 |alpha| (minus 2m for subtraction), and its float64
-    # matrix plus the coherent build's arrays fit the budget
-    r = abs(config.alpha)
-    shift = 2 * config.m if config.mode is Mode.SUBTRACT else 0
-    width = dim - max(0, math.floor(r * r - 9.6 * r) - shift)
+    # the protocol's float64 window matrix plus the coherent build's arrays
+    # fit the budget
+    width = dim - _budget_lo(config)
     assert width * width * 8 + dim * 6 * 16 <= MEMORY_BUDGET
     for value in dataclasses.astuple(config.tolerances):
         assert 0.0 <= value < math.inf
@@ -202,7 +229,6 @@ _tiny_configs = st.builds(
             "tolerances": st.dictionaries(
                 st.sampled_from(["norm_tol", "tail_tol", "herm_tol"]), _number, max_size=2
             ),
-            "outputs": st.lists(st.sampled_from(KNOWN_OUTPUTS + ("plots",)), max_size=3),
         },
     ),
     st.dictionaries(
@@ -230,11 +256,14 @@ def test_run_small_experiment(tmp_path):
     config_path = write_config(tmp_path)
     out_dir = tmp_path / "out"
     result, written = run(config_path, out_dir)
-    assert (out_dir / "result.json").exists()
-    assert (out_dir / "fock_dist.csv").exists()
-    assert (out_dir / "fidelity_series.csv").exists()
-    assert (out_dir / "mandel_q.json").exists()
-    assert (out_dir / "mean_photon.json").exists()
+    assert [p.name for p in written] == [
+        "result.json",
+        "fock_dist.csv",
+        "fidelity_series.csv",
+        "mandel_q.json",
+        "mean_photon.json",
+    ]
+    assert all(p.parent == out_dir and p.exists() for p in written)
     assert len(result.fidelity_series) == 3
     assert result.fidelity_series[0][0] == 0
     assert result.fidelity_series[0][1] == pytest.approx(1.0, abs=1e-12)
@@ -259,9 +288,7 @@ def test_run_m0_distribution_unchanged(tmp_path):
 
 
 def test_run_is_deterministic(tmp_path):
-    config_path = write_config(
-        tmp_path, outputs=["fock_dist", "fidelity_series", "mandel_q", "mean_photon"]
-    )
+    config_path = write_config(tmp_path)
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"
     _, written_a = run(config_path, out_a)
@@ -326,6 +353,14 @@ def test_json_round_trip(tmp_path):
     emit_json(result, path)
     loaded = load_result(path)
     assert loaded == result
+
+
+@pytest.mark.parametrize("text", ['{"fidelity_series": [[0, 1', "{}"], ids=["truncated", "empty"])
+def test_load_result_rejects_corrupt_file(tmp_path, text):
+    path = tmp_path / "result.json"
+    path.write_text(text)
+    with pytest.raises(IoFailure, match="result.json"):
+        load_result(path)
 
 
 # ---------------------------------------------------------------------------

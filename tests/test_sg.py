@@ -24,7 +24,6 @@ from tpjc import (
     make_fock,
     mandel_q,
     mandel_q_coherent_predict,
-    mandel_q_shift_predict,
     mean_photon,
     subtract_photons_ideal,
     subtracted_mean_predict,
@@ -34,12 +33,10 @@ from tpjc import (
 LOW_MASS_ALPHA12_M1 = 4.1972284518900354e-61
 
 
-def random_state(rng, dim, zero_top=0, zero_bottom=0):
+def random_state(rng, dim, zero_top=0):
     raw = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     if zero_top:
         raw[dim - zero_top :] = 0.0
-    if zero_bottom:
-        raw[:zero_bottom] = 0.0
     return FockVector(raw / np.linalg.norm(raw))
 
 
@@ -246,16 +243,13 @@ def test_mandel_q_added_coherent_matches_prediction():
     assert abs(mandel_q(out) - predicted) < 1e-8
 
 
-def test_mandel_q_shift_prediction_consistency():
-    rng = np.random.default_rng(31)
-    m = 2
-    psi = random_state(rng, 40, zero_top=2 * m, zero_bottom=2 * m)
-    added = add_photons_ideal(psi, m)
-    predicted = mandel_q_shift_predict(mandel_q(psi), mean_photon(psi), m, Mode.ADD)
-    assert abs(mandel_q(added) - predicted) < 1e-8
-    subtracted, _ = subtract_photons_ideal(psi, m)
-    predicted = mandel_q_shift_predict(mandel_q(psi), mean_photon(psi), m, Mode.SUBTRACT)
-    assert abs(mandel_q(subtracted) - predicted) < 1e-8
+def test_mandel_q_coherent_predict_subtract_and_edges():
+    # +2m / (|alpha|^2 - 2m) for subtraction
+    assert abs(mandel_q_coherent_predict(12, 1, Mode.SUBTRACT) - 2.0 / 142.0) < 1e-15
+    with pytest.raises(ZeroMeanPhoton):  # |alpha|^2 = 2m leaves no mean photon number
+        mandel_q_coherent_predict(2, 2, Mode.SUBTRACT)
+    for mode in Mode:
+        assert mandel_q_coherent_predict(5, 0, mode) == 0.0
 
 
 def test_mandel_q_signs_for_ideal_states():
