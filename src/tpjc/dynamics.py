@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DiagonalizationFailure, TruncationTooSmall, ZeroMeanPhoton
+from .errors import DiagonalizationFailure, ZeroMeanPhoton
 from .fock import (
     DEFAULT_TOL,
     LOW_MASS_TOL,
@@ -35,6 +35,7 @@ from .fock import (
     FockVector,
     QubitFieldState,
     Tolerances,
+    _check_edge,
     _moments,
     _unit_clamp,
     fidelity,  # noqa: F401  (kept as tpjc.dynamics.fidelity; perfbench's smoke test reads it)
@@ -64,11 +65,7 @@ def evolve_closed_form(state: QubitFieldState, gt: float) -> QubitFieldState:
     dim = state.dim
     e, g = state.e_amps, state.g_amps
     top = float(np.max(np.abs(e[max(0, dim - 2):])))
-    if top > DEFAULT_TOL.tail_tol:
-        raise TruncationTooSmall(
-            f"top-two excited amplitudes reach {top:.3e} (> tail_tol={DEFAULT_TOL.tail_tol:.3e}); "
-            f"enlarge dim={dim}"
-        )
+    _check_edge(top, "largest top-two excited amplitude", f"enlarge dim={dim}")
     n = np.arange(dim, dtype=float)
     theta = rabi_angle(n, gt)
     cos_w, sin_w = np.cos(theta), np.sin(theta)
@@ -96,7 +93,7 @@ def build_hamiltonian(dim: int) -> np.ndarray:
         raise ValueError(f"dim must be >= 3 to hold a two-photon exchange, got {dim}")
     h = np.zeros((2 * dim, 2 * dim), dtype=complex)
     n = np.arange(dim - 2)
-    elem = rabi_angle(n, 1.0)
+    elem = np.sqrt((n + 2.0) * (n + 1.0))
     h[dim + n + 2, n] = elem
     h[n, dim + n + 2] = elem
     return h
@@ -130,13 +127,6 @@ def _pass_diagonals(lo: int, dim: int, mode: Mode) -> tuple[np.ndarray, np.ndarr
     return np.cos(theta), np.sin(theta)
 
 
-def _check_edge_mass(mass: float, tol: Tolerances, edge: str, where: str) -> None:
-    if mass > tol.tail_tol:
-        raise TruncationTooSmall(
-            f"{edge} diagonal mass {mass:.3e} exceeds tail_tol={tol.tail_tol:.3e}{where}"
-        )
-
-
 def _full_pass(rho: DensityMatrix, mode: Mode) -> DensityMatrix:
     c, s = _pass_diagonals(0, rho.dim, mode)
     r = rho.elems
@@ -158,7 +148,7 @@ def pass_add(rho: DensityMatrix) -> DensityMatrix:
     Trace-preserving provided the top two diagonal entries are negligible
     (they are shifted out of the truncation by V^dag^2).
     """
-    _check_edge_mass(np.trace(rho.elems[-2:, -2:]).real, DEFAULT_TOL, "top-two", f"; enlarge dim={rho.dim}")
+    _check_edge(np.trace(rho.elems[-2:, -2:]).real, "top-two diagonal mass", f"enlarge dim={rho.dim}")
     return _full_pass(rho, Mode.ADD)
 
 
@@ -195,9 +185,10 @@ def _sweep(buf: np.ndarray, c, s, u: np.ndarray, mode: Mode, tol: Tolerances, lo
     rho = buf[2:-2, 2:-2]
     w = rho.shape[0]
     if mode is Mode.ADD:
-        _check_edge_mass(np.trace(rho[-2:, -2:]).real, tol, "top-two", f"; enlarge dim={lo + w}")
+        _check_edge(np.trace(rho[-2:, -2:]).real, "top-two diagonal mass", f"enlarge dim={lo + w}", tol)
     elif lo > 0:
-        _check_edge_mass(np.trace(rho[:2, :2]).real, tol, "bottom-two", f"; the window starts at lo={lo}")
+        fix = f"the window starts at lo={lo}"
+        _check_edge(np.trace(rho[:2, :2]).real, "bottom-two diagonal mass", fix, tol)
     q = 0 if mode is Mode.ADD else 4  # rho's row i receives buf's old row i + q
     s_buf = np.pad(s, 2)  # S on buf's levels, zero on the padding
     scratch = np.empty((SWEEP_ROWS, w), dtype=buf.dtype)

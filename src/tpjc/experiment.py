@@ -244,21 +244,27 @@ def load_result(path: str | Path) -> ProtocolResult:
         raise IoFailure(f"{path} is not a valid result file: {exc!r}") from exc
 
 
-def _emit_fields(result: ProtocolResult, path: str | Path, *fields: str) -> None:
-    _write_text(path, _json_value({f: getattr(result, f) for f in fields}) + "\n")
+def _emit_fields(obj, path: str | Path, *names: str) -> None:
+    """The named attributes of ``obj`` as one JSON object."""
+    _write_text(path, _json_value({name: getattr(obj, name) for name in names}) + "\n")
+
+
+def _csv(header: str, index, *columns) -> str:
+    """``header``, then line i: ``index[i]`` with str and each column's i-th
+    value with _fmt. Columns are formatted with map, which costs less per
+    cell than unpacking each row."""
+    lines = [",".join(cells) for cells in zip(map(str, index), *(map(_fmt, c) for c in columns))]
+    return header + "\n" + "\n".join(lines) + "\n"
 
 
 def emit_fidelity_csv(result: ProtocolResult, path: str | Path) -> None:
-    rows = [f"{k},{_fmt(f)}" for k, f in result.fidelity_series]
-    _write_text(path, "k,fidelity\n" + "\n".join(rows) + "\n")
+    _write_text(path, _csv("k,fidelity", *zip(*result.fidelity_series)))
 
 
 def emit_distribution_csv(result: ProtocolResult, path: str | Path) -> None:
-    rows = [
-        f"{j},{_fmt(p0)},{_fmt(p1)}"
-        for (j, p0), (_, p1) in zip(result.initial_dist, result.final_dist)
-    ]
-    _write_text(path, "j,p_initial,p_final\n" + "\n".join(rows) + "\n")
+    j, p_initial = zip(*result.initial_dist)
+    _, p_final = zip(*result.final_dist)
+    _write_text(path, _csv("j,p_initial,p_final", j, p_initial, p_final))
 
 
 # ---------------------------------------------------------------------------
@@ -282,8 +288,7 @@ def approx_error_table(max_j: int) -> list[tuple[int, float, float]]:
 
 
 def approx_table_csv(rows: list[tuple[int, float, float]]) -> str:
-    lines = [f"{j},{_fmt(a)},{_fmt(s)}" for j, a, s in rows]
-    return "j,add_error,subtract_error\n" + "\n".join(lines) + "\n"
+    return _csv("j,add_error,subtract_error", *zip(*rows))
 
 
 def emit_approx_table_csv(rows: list[tuple[int, float, float]], path: str | Path) -> None:
@@ -349,16 +354,7 @@ def oracle_check(
 
 
 def emit_oracle_report(report: OracleReport, path: str | Path) -> None:
-    data = {
-        "dim": report.dim,
-        "trials": report.trials,
-        "seed": report.seed,
-        "times": list(report.times),
-        "comparisons": report.comparisons,
-        "max_deviation": report.max_deviation,
-        "passed": report.passed,
-    }
-    _write_text(path, _json_value(data) + "\n")
+    _emit_fields(report, path, "dim", "trials", "seed", "times", "comparisons", "max_deviation", "passed")
 
 
 # ---------------------------------------------------------------------------

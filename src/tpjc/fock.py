@@ -40,6 +40,13 @@ DEFAULT_TOL = Tolerances()
 LOW_MASS_TOL = 1e-12
 
 
+def _check_edge(value: float, what: str, fix: str, tol: Tolerances = DEFAULT_TOL) -> None:
+    """The one truncation guard: ``value`` (an amplitude or a mass at the
+    edge of a truncated space) must not exceed ``tol.tail_tol``."""
+    if value > tol.tail_tol:
+        raise TruncationTooSmall(f"{what} {value:.3e} exceeds tail_tol={tol.tail_tol:.3e}; {fix}")
+
+
 def _readonly(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, dtype=complex, copy=True)
     out.flags.writeable = False
@@ -164,18 +171,15 @@ def make_coherent(alpha: complex, dim: int, tol: Tolerances = DEFAULT_TOL) -> Fo
     if r == 0.0:
         return make_fock(0, dim)
     j = np.arange(dim)
-    log_fact = np.array([math.lgamma(k + 1.0) for k in range(dim)])
+    log_fact = np.fromiter(map(math.lgamma, range(1, dim + 1)), float, dim)
     log_mag = -0.5 * r * r + j * math.log(r) - 0.5 * log_fact
     mag = np.exp(log_mag)
     q = r * r / (dim + 1)
     log_p_dim = -r * r + 2.0 * dim * math.log(r) - math.lgamma(dim + 1.0)
     bound = math.exp(log_p_dim) / (1.0 - q) if q < 1.0 else math.inf
     tail = min(bound, max(0.0, 1.0 - float(np.sum(mag * mag))))
-    if tail > tol.tail_tol:
-        raise TruncationTooSmall(
-            f"coherent tail mass {tail:.3e} at dim={dim} exceeds tail_tol={tol.tail_tol:.3e}; "
-            f"suggested minimum dim is {default_dim(alpha)}"
-        )
+    fix = f"enlarge dim={dim}; suggested minimum dim is {default_dim(alpha)}"
+    _check_edge(tail, "coherent tail mass", fix, tol)
     phase = np.exp(1j * np.angle(complex(alpha)) * j)
     return FockVector(mag * phase).normalized()
 
@@ -219,11 +223,7 @@ def apply_raise(psi: FockVector) -> FockVector:
     The top-of-space amplitude would be pushed out of the truncation, so
     it must already be negligible.
     """
-    top = abs(psi.amps[-1])
-    if top > DEFAULT_TOL.tail_tol:
-        raise TruncationTooSmall(
-            f"top amplitude {top:.3e} exceeds tail_tol={DEFAULT_TOL.tail_tol:.3e}; enlarge dim={psi.dim}"
-        )
+    _check_edge(abs(psi.amps[-1]), "top amplitude", f"enlarge dim={psi.dim}")
     out = np.zeros(psi.dim, dtype=complex)
     out[1:] = psi.amps[: psi.dim - 1]
     return FockVector(out)

@@ -26,13 +26,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AllMassRemoved, TruncationTooSmall, ZeroMeanPhoton
+from .errors import AllMassRemoved, ZeroMeanPhoton
 from .fock import (
     DEFAULT_TOL,
     LOW_MASS_TOL,
     DensityMatrix,
     FockVector,
     Tolerances,
+    _check_edge,
     _moments,
     apply_annihilation,
     fock_distribution,
@@ -77,12 +78,8 @@ def add_photons_ideal(psi: FockVector, m: int, tol: Tolerances = DEFAULT_TOL) ->
     if m < 0:
         raise ValueError("m must be >= 0")
     if m > 0:
-        top = np.abs(psi.amps[max(0, psi.dim - 2 * m):])
-        if top.size and float(np.max(top)) > tol.tail_tol:
-            raise TruncationTooSmall(
-                f"top {2 * m} amplitudes reach {float(np.max(top)):.3e} "
-                f"(> tail_tol={tol.tail_tol:.3e}); enlarge dim={psi.dim}"
-            )
+        top = float(np.max(np.abs(psi.amps[max(0, psi.dim - 2 * m):])))
+        _check_edge(top, f"largest of the top {2 * m} amplitudes", f"enlarge dim={psi.dim}", tol)
     kept = max(0, psi.dim - 2 * m)
     out = np.zeros(psi.dim, dtype=complex)
     out[psi.dim - kept :] = _ladder_phases(kept, m) * psi.amps[:kept]
@@ -123,7 +120,7 @@ def subtracted_mean_predict(psi: FockVector, m: int) -> float:
     distance; it reduces to <n> - 2m when the low components vanish.
     """
     low_mass = low_component_mass(psi, m)
-    if low_mass >= 1.0:
+    if low_mass >= 1.0 - DEFAULT_TOL.norm_tol:
         raise AllMassRemoved(f"subtraction with m={m} removes all mass")
     k = np.arange(min(2 * m, psi.dim))
     correction = float(np.sum((2.0 * m - k) * np.abs(psi.amps[: k.size]) ** 2))

@@ -165,8 +165,9 @@ def test_run_surfaces_truncation_error(tmp_path, capsys):
     rc = main(["run", str(config), "--out", str(tmp_path / "out")])
     captured = capsys.readouterr()
     assert rc == 3
+    assert captured.err.count("\n") == 1
     assert "truncation too small" in captured.err
-    assert "dim" in captured.err
+    assert "dim=" in captured.err
 
 
 def test_oracle_check_command(capsys):
@@ -186,6 +187,9 @@ def test_oracle_check_writes_report(tmp_path):
     assert data["dim"] == 16
     assert data["comparisons"] == 9
     assert data["passed"] is True
+    # the report's bytes as released
+    digest = hashlib.sha256(report_path.read_bytes()).hexdigest()
+    assert digest == "d90fd00ef368df089968a6476010fd4c3f8a02f0e215343b195acc35666c39c4"
 
 
 def test_oracle_check_rejects_large_dim(capsys):

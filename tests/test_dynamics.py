@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -493,6 +494,51 @@ def test_sweep_guards_top_mass():
     c, s = dynamics._pass_diagonals(0, dim, Mode.ADD)
     with pytest.raises(TruncationTooSmall, match="top-two"):
         dynamics._sweep(padded, c, s, np.zeros(dim), Mode.ADD, DEFAULT_TOL)
+
+
+def _trip_evolve_top_two():
+    e = np.zeros(16, dtype=complex)
+    e[15] = 1.0
+    evolve_closed_form(QubitFieldState(e, np.zeros(16, dtype=complex)), 1.0)
+
+
+def _trip_sweep_top_two():
+    padded = np.zeros((17, 17))
+    padded[14, 14] = 1.0
+    c, s = dynamics._pass_diagonals(0, 13, Mode.ADD)
+    dynamics._sweep(padded, c, s, np.zeros(13), Mode.ADD, DEFAULT_TOL)
+
+
+def _trip_sweep_bottom_two():
+    padded = np.zeros((12, 12))
+    padded[2, 2] = 1.0
+    c, s = dynamics._pass_diagonals(5, 13, Mode.SUBTRACT)
+    dynamics._sweep(padded, c, s, np.zeros(8), Mode.SUBTRACT, DEFAULT_TOL, 5)
+
+
+@pytest.mark.parametrize(
+    "trip, what, fix",
+    [
+        (lambda: make_coherent(5, 10), "coherent tail mass", "enlarge dim=10; suggested minimum dim is 99"),
+        (lambda: apply_raise(make_fock(7, 8)), "top amplitude", "enlarge dim=8"),
+        (
+            lambda: add_photons_ideal(make_coherent(5, 80), 10),
+            "largest of the top 20 amplitudes",
+            "enlarge dim=80",
+        ),
+        (_trip_evolve_top_two, "largest top-two excited amplitude", "enlarge dim=16"),
+        (lambda: pass_add(pure_density(make_fock(63, 64))), "top-two diagonal mass", "enlarge dim=64"),
+        (_trip_sweep_top_two, "top-two diagonal mass", "enlarge dim=13"),
+        (_trip_sweep_bottom_two, "bottom-two diagonal mass", "the window starts at lo=5"),
+    ],
+    ids=["coherent", "raise", "add_ideal", "evolve", "pass_add", "sweep_top", "sweep_bottom"],
+)
+def test_truncation_guards_share_one_message_shape(trip, what, fix):
+    with pytest.raises(TruncationTooSmall) as info:
+        trip()
+    value = r"\d\.\d{3}e[+-]\d\d"
+    shape = rf"{re.escape(what)} {value} exceeds tail_tol=1\.000e-10; {re.escape(fix)}"
+    assert re.fullmatch(shape, str(info.value)), str(info.value)
 
 
 def test_protocol_m0_is_identity():

@@ -374,6 +374,23 @@ def test_oracle_check_passes():
     assert report.passed
 
 
+@pytest.mark.parametrize(
+    "wrong_angle",
+    [
+        lambda n, gt: 1.01 * gt * np.sqrt((n + 2.0) * (n + 1.0)),
+        lambda n, gt: gt * np.where(n >= 0, n + 1.5, 0.0),
+    ],
+    ids=["rate_1.01x", "linearized_root"],
+)
+def test_oracle_check_fails_a_wrong_rabi_angle(monkeypatch, wrong_angle):
+    # the oracle's Hamiltonian must not share the closed form's Rabi angle,
+    # or a wrong angle would change both sides and still pass; both wrong
+    # angles keep |0, g> and |1, g> dark, as the true one does
+    monkeypatch.setattr("tpjc.dynamics.rabi_angle", wrong_angle)
+    report = oracle_check(dim=16, trials=3, seed=7)
+    assert not report.passed
+
+
 def test_oracle_check_zero_trials():
     report = oracle_check(dim=24, trials=0, seed=1)
     assert report.comparisons == 0

@@ -65,8 +65,10 @@ def test_add_mean_shift_coherent_m50():
 
 
 def test_add_guards_truncation():
-    with pytest.raises(TruncationTooSmall):
-        add_photons_ideal(make_coherent(5, 60), 10)
+    # dim 80 holds the coherent state; its top 20 amplitudes are not negligible
+    psi = make_coherent(5, 80)
+    with pytest.raises(TruncationTooSmall, match="top 20 amplitudes"):
+        add_photons_ideal(psi, 10)
 
 
 def test_add_preserves_distribution_shape_exactly():
@@ -144,6 +146,18 @@ def test_subtracted_mean_predict_matches_state():
         psi = random_state(rng, 30)
         out, _ = subtract_photons_ideal(psi, m)
         assert abs(mean_photon(out) - subtracted_mean_predict(psi, m)) < 1e-12
+
+
+def test_subtraction_and_mean_predictor_agree_on_all_mass_removed():
+    # low mass 1 - 1e-12: past the builder's 1 - norm_tol threshold, where
+    # the predictor's (1 - S)^-1 would return 2.99956 for a true mean of 3
+    amps = np.zeros(8, dtype=complex)
+    amps[0], amps[5] = math.sqrt(1.0 - 1e-12), 1e-6
+    psi = FockVector(amps)
+    with pytest.raises(AllMassRemoved):
+        subtract_photons_ideal(psi, 1)
+    with pytest.raises(AllMassRemoved):
+        subtracted_mean_predict(psi, 1)
 
 
 def test_low_component_mass():
