@@ -296,6 +296,8 @@ def run_protocol(
     w = target(0)
     buf = np.zeros((w.size + 4, w.size + 4), dtype=w.dtype)
     rho = np.outer(w, w.conj(), out=buf[2:-2, 2:-2])
+    # |c|^2 as initial_dist has it: the real path's |c| |c| can be an ulp off
+    np.fill_diagonal(rho, p0[lo:])
     c, s = _pass_diagonals(lo, psi0.dim, mode)
     series: list[tuple[int, float]] = [(0, _unit_clamp(np.vdot(w, rho @ w).real))]
     for k in range(1, m + 1):

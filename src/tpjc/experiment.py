@@ -3,9 +3,10 @@
 One JSON config describes one protocol run (coherent base, direction,
 repetition count). The runner executes the pass iteration, then writes
 ``result.json`` (the full result) and four summary files, always the
-same five. Every number is serialized with 17 significant digits and the
-pipeline contains no randomness outside the explicitly seeded oracle
-check, so identical configs produce byte-identical files.
+same five. Every number is written as Python's shortest repr that reads
+back to the same float64, and the pipeline contains no randomness
+outside the explicitly seeded oracle check, so identical configs produce
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .dynamics import (
     evolve_oracle,
     run_protocol,
 )
-from .errors import ConfigInvalid, IoFailure
+from .errors import ConfigInvalid, IoFailure, ZeroMeanPhoton
 from .fock import (
     DEFAULT_TOL,
     QubitFieldState,
@@ -180,29 +181,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 
 # ---------------------------------------------------------------------------
-# serialization (17 significant digits, deterministic bytes)
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
-def _json_value(obj) -> str:
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _fmt(obj)
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(_json_value(v) for v in obj) + "]"
-    if isinstance(obj, dict):
-        return "{" + ", ".join(f"{json.dumps(k)}: {_json_value(v)}" for k, v in obj.items()) + "}"
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+# serialization (shortest round-trip float repr, deterministic bytes)
 
 
 def _write_text(path: str | Path, text: str) -> None:
@@ -215,7 +194,7 @@ def _write_text(path: str | Path, text: str) -> None:
 def emit_json(result: ProtocolResult, path: str | Path) -> None:
     """Full result as JSON, one line per ProtocolResult field, in field order."""
     lines = ",\n".join(
-        f"  {_json_value(f.name)}: {_json_value(getattr(result, f.name))}" for f in fields(result)
+        f"  {json.dumps(f.name)}: {json.dumps(getattr(result, f.name))}" for f in fields(result)
     )
     _write_text(path, "{\n" + lines + "\n}\n")
 
@@ -246,14 +225,14 @@ def load_result(path: str | Path) -> ProtocolResult:
 
 def _emit_fields(obj, path: str | Path, *names: str) -> None:
     """The named attributes of ``obj`` as one JSON object."""
-    _write_text(path, _json_value({name: getattr(obj, name) for name in names}) + "\n")
+    _write_text(path, json.dumps({name: getattr(obj, name) for name in names}) + "\n")
 
 
-def _csv(header: str, index, *columns) -> str:
-    """``header``, then line i: ``index[i]`` with str and each column's i-th
-    value with _fmt. Columns are formatted with map, which costs less per
-    cell than unpacking each row."""
-    lines = [",".join(cells) for cells in zip(map(str, index), *(map(_fmt, c) for c in columns))]
+def _csv(header: str, *columns) -> str:
+    """``header``, then line i: each column's i-th value, written with str
+    (not repr, which numpy 2 writes as ``np.float64(...)``). Columns are
+    formatted with map, which costs less per cell than unpacking each row."""
+    lines = [",".join(cells) for cells in zip(*(map(str, c) for c in columns))]
     return header + "\n" + "\n".join(lines) + "\n"
 
 
@@ -373,10 +352,14 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> tuple[Proto
     result = run_protocol(psi0, config.m, config.mode, config.tolerances)
     # Q of the ideal m-step state. The closed form is exact for addition, a
     # shift of a Poisson distribution; subtraction also drops the low levels.
-    if config.mode is Mode.ADD or config.m == 0:
-        q_predicted = mandel_q_coherent_predict(config.alpha, config.m, config.mode)
-    else:
-        q_predicted = mandel_q(ideal_state(psi0, config.m, config.mode, config.tolerances))
+    # At zero mean photon number Q is undefined, as run_protocol records it.
+    try:
+        if config.mode is Mode.ADD or config.m == 0:
+            q_predicted = mandel_q_coherent_predict(config.alpha, config.m, config.mode)
+        else:
+            q_predicted = mandel_q(ideal_state(psi0, config.m, config.mode, config.tolerances))
+    except ZeroMeanPhoton:
+        q_predicted = None
     result = replace(result, mandel_q_predicted=q_predicted)
 
     names = ("result.json", "fock_dist.csv", "fidelity_series.csv", "mandel_q.json", "mean_photon.json")

@@ -215,10 +215,8 @@ def mandel_q_coherent_predict(alpha: complex, m: int, mode: Mode) -> float:
     |alpha|^2 and moves the mean by +-2m, so addition is always
     sub-Poissonian and subtraction super-Poissonian.
     """
-    if m == 0:
-        return 0.0
     sign = -1.0 if mode is Mode.ADD else 1.0
     denom = abs(alpha) ** 2 - sign * 2.0 * m
     if denom == 0.0:
         raise ZeroMeanPhoton("shifted state has zero mean photon number")
-    return sign * (2.0 * m / denom)
+    return sign * (2.0 * m / denom) if m else 0.0

@@ -551,6 +551,18 @@ def test_protocol_m0_is_identity():
     assert result.mean_photon_final == result.mean_photon_initial
 
 
+@pytest.mark.parametrize("alpha", [3 * cmath.exp(0.4j), 7 + 2j], ids=["3e^0.4i", "7+2i"])
+def test_protocol_m0_is_identity_at_complex_alpha(alpha):
+    # the window diagonal is seeded from |c|^2 itself, not the real path's
+    # |c| |c|, which was an ulp off on most levels; below lo zeros are by design
+    psi = make_coherent(alpha, default_dim(alpha))
+    result = run_protocol(psi, 0, Mode.ADD)
+    p = np.array([q for _, q in result.initial_dist])
+    lo = int(np.argmax(np.cumsum(p) > dynamics.WINDOW_MASS_TOL))
+    assert result.final_dist[lo:] == result.initial_dist[lo:]
+    assert all(q == 0.0 for _, q in result.final_dist[:lo])
+
+
 def test_protocol_small_add_run():
     psi = make_coherent(3, 80)
     result = run_protocol(psi, 3, Mode.ADD)

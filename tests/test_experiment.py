@@ -347,6 +347,32 @@ def test_csv_serializes_17_significant_digits(tmp_path):
         assert float(text) == dict(result.fidelity_series)[int(line.split(",")[0])]
 
 
+@pytest.mark.parametrize("alpha", [0, [3.0, 0.5]], ids=["vacuum", "complex"])
+def test_outputs_read_back_exactly(tmp_path, alpha):
+    config = parse_config({"alpha": alpha, "mode": "add", "m": 2 if alpha else 0})
+    out = tmp_path / "out"
+    result, _ = run_experiment(config, out)
+
+    def cells(name):
+        lines = (out / name).read_text().splitlines()[1:]
+        return [tuple(map(float, line.split(","))) for line in lines]
+
+    dist = [(j, p, q) for (j, p), (_, q) in zip(result.initial_dist, result.final_dist)]
+    assert cells("fock_dist.csv") == dist
+    assert cells("fidelity_series.csv") == result.fidelity_series
+
+    # every float field loads as a float, F(0) = 1 and zero means included
+    on_disk = json.loads((out / "result.json").read_text())
+    series = on_disk["fidelity_series"] + on_disk["initial_dist"] + on_disk["final_dist"]
+    assert all(type(k) is int and type(x) is float for k, x in series)
+    scalars = ("mean_photon_initial", "mean_photon_final", "mandel_q_final", "mandel_q_predicted")
+    for name in ("result.json", "mandel_q.json", "mean_photon.json"):
+        data = json.loads((out / name).read_text())
+        for key in (k for k in scalars if k in data):
+            assert data[key] == getattr(result, key)
+            assert data[key] is None or type(data[key]) is float
+
+
 def test_json_round_trip(tmp_path):
     result = small_result(tmp_path)
     path = tmp_path / "round.json"

@@ -264,6 +264,8 @@ def test_mandel_q_coherent_predict_subtract_and_edges():
         mandel_q_coherent_predict(2, 2, Mode.SUBTRACT)
     for mode in Mode:
         assert mandel_q_coherent_predict(5, 0, mode) == 0.0
+        with pytest.raises(ZeroMeanPhoton):  # the vacuum has no mean photon number
+            mandel_q_coherent_predict(0, 0, mode)
 
 
 def test_mandel_q_signs_for_ideal_states():
