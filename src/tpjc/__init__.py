@@ -19,9 +19,6 @@ from .fock import (
     QubitFieldState,
     Tolerances,
     apply_annihilation,
-    apply_lower,
-    apply_parity,
-    apply_raise,
     default_dim,
     fidelity,
     fock_distribution,

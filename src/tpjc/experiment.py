@@ -123,13 +123,12 @@ def parse_config(data: dict) -> ExperimentConfig:
         if bad:
             raise ConfigInvalid(f"unknown tolerance fields: {sorted(bad)}")
         for name, value in over.items():
-            # a NaN bound would disarm every guard, since x > NaN is False
-            if (
-                not isinstance(value, (int, float))
-                or isinstance(value, bool)
-                or not 0 <= value <= sys.float_info.max
-            ):
-                raise ConfigInvalid(f"tolerance {name} must be a finite non-negative number")
+            # a NaN bound would disarm every guard, since x > NaN is False;
+            # so would tail_tol >= 1, since every guarded value is an
+            # amplitude or a mass <= 1, and norm_tol >= 1 makes subtraction
+            # at m = 0 report all of the state removed
+            if not isinstance(value, (int, float)) or isinstance(value, bool) or not 0 <= value < 1:
+                raise ConfigInvalid(f"tolerance {name} must be a finite number in [0, 1)")
         tol = replace(tol, **{k: float(v) for k, v in over.items()})
 
     config = ExperimentConfig(alpha=alpha, mode=mode, m=m, tolerances=tol)

@@ -1,14 +1,15 @@
 """Truncated Fock-space states, elementary field operators, and metrics.
 
 The simulation space is spanned by the number states |0> .. |N-1>. Pure
-states are amplitude vectors, mixed states dense N x N matrices. All
-operators here act as index shifts or diagonal scalings on the amplitude
-arrays; nothing is materialized as a dense operator matrix (the dense
-route lives in :mod:`tpjc.dynamics` as the verification oracle).
+states are amplitude vectors, mixed states dense N x N matrices. The
+annihilation operator acts as an index shift with a diagonal scaling on
+the amplitude array; nothing is materialized as a dense operator matrix
+(the dense route lives in :mod:`tpjc.dynamics` as the verification
+oracle).
 
 Normalization policy: named constructors (``make_fock``, ``make_coherent``,
-``pure_density``) return normalized states; raw operator applications
-(``apply_lower`` etc.) do not renormalize.
+``pure_density``) return normalized states; the raw operator application
+``apply_annihilation`` does not renormalize.
 """
 
 from __future__ import annotations
@@ -203,36 +204,7 @@ def default_dim(alpha: complex, added_photons: int = 0) -> int:
 
 
 # ---------------------------------------------------------------------------
-# elementary operators (index shifts / diagonal scalings; never renormalize)
-
-
-def apply_lower(psi: FockVector) -> FockVector:
-    """Bare lowering ladder V: |n> -> |n-1>, with V|0> = 0.
-
-    The |0> component of the input is discarded, so the output norm may
-    shrink; callers track norm loss themselves.
-    """
-    out = np.zeros(psi.dim, dtype=complex)
-    out[: psi.dim - 1] = psi.amps[1:]
-    return FockVector(out)
-
-
-def apply_raise(psi: FockVector) -> FockVector:
-    """Bare raising ladder V^dag: |n> -> |n+1>.
-
-    The top-of-space amplitude would be pushed out of the truncation, so
-    it must already be negligible.
-    """
-    _check_edge(abs(psi.amps[-1]), "top amplitude", f"enlarge dim={psi.dim}")
-    out = np.zeros(psi.dim, dtype=complex)
-    out[1:] = psi.amps[: psi.dim - 1]
-    return FockVector(out)
-
-
-def apply_parity(psi: FockVector) -> FockVector:
-    """(-1)^n parity: flips the sign of odd Fock components."""
-    signs = np.where(np.arange(psi.dim) % 2 == 0, 1.0, -1.0)
-    return FockVector(psi.amps * signs)
+# field operator (does not renormalize)
 
 
 def apply_annihilation(psi: FockVector) -> FockVector:

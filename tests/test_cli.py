@@ -4,6 +4,7 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from tpjc.cli import main
@@ -58,6 +59,19 @@ def test_run_rejects_non_finite_tolerance(tmp_path, capsys, tolerances):
     assert rc == 2
     assert err.count("\n") == 1
     assert "invalid config" in err and "finite" in err
+
+
+def test_run_rejects_tolerance_of_one(tmp_path, capsys):
+    # norm_tol >= 1 would make every subtraction, even at m = 0, report
+    # that it removed all of the state, and exit 1
+    shipped = Path(__file__).resolve().parent.parent / "configs" / "subtract_alpha12.json"
+    data = {**json.loads(shipped.read_text()), "tolerances": {"norm_tol": 1}}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(data))
+    rc = main(["run", str(config), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == "error: invalid config: tolerance norm_tol must be a finite number in [0, 1)\n"
 
 
 @pytest.mark.parametrize(
@@ -195,6 +209,18 @@ def test_oracle_check_writes_report(tmp_path):
     # the report's bytes as released, numbers in shortest float repr
     digest = hashlib.sha256(report_path.read_bytes()).hexdigest()
     assert digest == "4aa445ab2059b36fff69f77cb6eebb5e728d83ea0a76c24b27a0c100a46e60f0"
+
+
+def test_oracle_check_reports_eigh_failure(capsys, monkeypatch):
+    def eigh_fails(h):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh_fails)
+    rc = main(["oracle-check", "--dim", "8", "--trials", "1"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == "error: eigh failed on the 16x16 Hamiltonian\n"
 
 
 def test_oracle_check_rejects_large_dim(capsys):

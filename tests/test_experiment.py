@@ -107,6 +107,10 @@ def test_config_rejects_undersized_dim():
             "m": 1,
             "outputs": ["fock_dist", "fidelity_series", "mandel_q", "mean_photon"],
         },
+        # tail_tol >= 1 disarms every guard (each guarded value is <= 1), and
+        # norm_tol >= 1 makes subtraction at m = 0 remove "all" of the state
+        {"alpha": 12.0, "mode": "subtract", "m": 50, "tolerances": {"norm_tol": 1}},
+        {"alpha": 5.0, "mode": "add", "m": 1, "tolerances": {"tail_tol": 1.0}},
     ],
 )
 def test_config_rejects_invalid_fields(bad):
@@ -207,7 +211,7 @@ def test_parse_config_returns_runnable_config_or_rejects(data):
     width = dim - _budget_lo(config)
     assert width * width * 8 + dim * 6 * 16 <= MEMORY_BUDGET
     for value in dataclasses.astuple(config.tolerances):
-        assert 0.0 <= value < math.inf
+        assert 0.0 <= value < 1.0
 
 
 # Configs small enough to run in milliseconds (|alpha| <= 4, m <= 6,

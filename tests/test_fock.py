@@ -1,11 +1,9 @@
-"""Fock-space core: constructors, elementary operators, metrics."""
+"""Fock-space core: constructors, the annihilation operator, metrics."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from tpjc import (
     DensityMatrix,
@@ -15,9 +13,6 @@ from tpjc import (
     Tolerances,
     TruncationTooSmall,
     apply_annihilation,
-    apply_lower,
-    apply_parity,
-    apply_raise,
     default_dim,
     fidelity,
     fock_distribution,
@@ -32,10 +27,8 @@ from tpjc import (
 C25_COHERENT_5 = 0.28199814089469711617
 
 
-def random_state(rng, dim, zero_top=0):
+def random_state(rng, dim):
     raw = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    if zero_top:
-        raw[dim - zero_top :] = 0.0
     return FockVector(raw / np.linalg.norm(raw))
 
 
@@ -107,62 +100,7 @@ def test_default_dim_policy():
 
 
 # ---------------------------------------------------------------------------
-# ladder operators
-
-
-def test_lower_on_fock_state():
-    assert np.allclose(apply_lower(make_fock(3, 8)).amps, make_fock(2, 8).amps)
-
-
-def test_lower_kills_vacuum():
-    assert np.all(apply_lower(make_fock(0, 8)).amps == 0)
-
-
-def test_lower_is_linear_and_unnormalized():
-    v = np.zeros(8, dtype=complex)
-    v[0] = v[1] = 1 / math.sqrt(2)
-    out = apply_lower(FockVector(v))
-    assert abs(out.amps[0] - 1 / math.sqrt(2)) < 1e-15
-    assert abs(out.norm() ** 2 - 0.5) < 1e-15
-
-
-def test_raise_on_fock_state():
-    assert np.allclose(apply_raise(make_fock(3, 8)).amps, make_fock(4, 8).amps)
-
-
-def test_raise_guards_top_amplitude():
-    with pytest.raises(TruncationTooSmall):
-        apply_raise(make_fock(7, 8))
-
-
-def test_lower_raise_identities():
-    rng = np.random.default_rng(7)
-    psi = random_state(rng, 32, zero_top=2)
-    round_trip = apply_lower(apply_raise(psi))
-    np.testing.assert_allclose(round_trip.amps, psi.amps, atol=2e-10)
-    # V^dag V = 1 - |0><0|
-    other = apply_raise(apply_lower(psi))
-    expected = psi.amps.copy()
-    expected[0] = 0.0
-    np.testing.assert_allclose(other.amps, expected, atol=1e-15)
-    assert np.all(apply_raise(apply_lower(make_fock(0, 8))).amps == 0)
-
-
-def test_parity_action_and_involution():
-    assert np.all(apply_parity(make_fock(0, 8)).amps == make_fock(0, 8).amps)
-    assert np.allclose(apply_parity(make_fock(3, 8)).amps, -make_fock(3, 8).amps)
-    rng = np.random.default_rng(3)
-    psi = random_state(rng, 20)
-    np.testing.assert_array_equal(apply_parity(apply_parity(psi)).amps, psi.amps)
-    assert apply_parity(psi).norm() == pytest.approx(psi.norm(), abs=0)
-
-
-def test_parity_conjugates_raise_exactly():
-    rng = np.random.default_rng(11)
-    psi = random_state(rng, 24, zero_top=2)
-    lhs = apply_parity(apply_raise(apply_parity(psi)))
-    rhs = FockVector(-apply_raise(psi).amps)
-    np.testing.assert_array_equal(lhs.amps, rhs.amps)
+# field operators
 
 
 def test_annihilation_and_number():
@@ -171,16 +109,6 @@ def test_annihilation_and_number():
     psi = make_coherent(5, 200)
     residual = apply_annihilation(psi).amps - 5.0 * psi.amps
     assert np.linalg.norm(residual) < 1e-8
-
-
-@given(data=st.data())
-@settings(max_examples=30, deadline=None)
-def test_ladder_round_trip_property(data):
-    dim = data.draw(st.integers(min_value=4, max_value=40))
-    seed = data.draw(st.integers(min_value=0, max_value=2**31))
-    psi = random_state(np.random.default_rng(seed), dim, zero_top=2)
-    round_trip = apply_lower(apply_raise(psi))
-    assert np.linalg.norm(round_trip.amps - psi.amps) <= 2e-10
 
 
 # ---------------------------------------------------------------------------

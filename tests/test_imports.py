@@ -1,13 +1,23 @@
-"""Static check: every name a tpjc module imports is used in that module."""
+"""Static checks: every name a tpjc module imports is used in that module,
+and every name the package exports is read by the program."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "tpjc"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "tpjc"
 # __init__ imports names only to export them
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+# The program's own readers of the package surface: the other modules, the
+# benchmark harness and the acceptance suite. A unit test reading a name
+# does not keep it exported.
+READERS = [
+    *MODULES,
+    *sorted((ROOT / "perfbench").glob("*.py")),
+    ROOT / "tests" / "test_acceptance.py",
+]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -40,3 +50,44 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def read_names(source: str) -> set[str]:
+    """Names a module reads: loaded names, attribute names, and string
+    constants (the benchmark names the functions it traces as strings)."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
+def unread_exports(init_source: str, reader_sources: list[str]) -> list[str]:
+    """Names ``__init__`` imports that no reader reads."""
+    read = set().union(*map(read_names, reader_sources))
+    return [
+        alias.asname or alias.name
+        for node in ast.walk(ast.parse(init_source))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if (alias.asname or alias.name) not in read
+    ]
+
+
+def test_unread_exports_are_found():
+    init = "from .a import called, attr, traced, stored, unread\n"
+    readers = [
+        "from .a import unread\ncalled()\n",
+        "import tpjc\ntpjc.attr\nLAYERS = [('tpjc.a', 'traced')]\n",
+        "stored = 1\n",
+    ]
+    assert unread_exports(init, readers) == ["stored", "unread"]
+
+
+def test_every_export_has_a_program_reader():
+    readers = [path.read_text() for path in READERS]
+    assert unread_exports((SRC / "__init__.py").read_text(), readers) == []
