@@ -16,7 +16,6 @@ from .fock import (
     LOW_MASS_TOL,
     DensityMatrix,
     FockVector,
-    QubitFieldState,
     Tolerances,
     apply_annihilation,
     default_dim,

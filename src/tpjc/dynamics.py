@@ -27,13 +27,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DiagonalizationFailure, ZeroMeanPhoton
+from .errors import DiagonalizationFailure, DimensionMismatch, ZeroMeanPhoton
 from .fock import (
     DEFAULT_TOL,
     LOW_MASS_TOL,
     DensityMatrix,
     FockVector,
-    QubitFieldState,
     Tolerances,
     _check_edge,
     _moments,
@@ -53,17 +52,28 @@ def rabi_angle(n, gt: float):
     return gt * np.sqrt((n + 2.0) * (n + 1.0))
 
 
-def evolve_closed_form(state: QubitFieldState, gt: float) -> QubitFieldState:
-    """Closed-form propagator:
+def _joint_dim(state: np.ndarray) -> int:
+    """N of a joint qubit-field state: 2N amplitudes in the basis of
+    :func:`build_hamiltonian`, |n, e> at n and |n, g> at N + n."""
+    if state.ndim != 1 or state.size == 0 or state.size % 2:
+        raise DimensionMismatch(
+            f"a joint state needs a 1-d array of 2N >= 2 amplitudes, got shape {state.shape}"
+        )
+    return state.size // 2
+
+
+def evolve_closed_form(state: np.ndarray, gt: float) -> np.ndarray:
+    """Closed-form propagator on the 2N joint vector (e, g) = (state[:N], state[N:]):
 
         e' = cos[Omega(n) t] e  - i sin[Omega(n) t] V^2 g
         g' = -i V^dag^2 sin[Omega(n) t] e + cos[Omega(n-2) t] g
 
-    The excited component is raised by two, so its top two amplitudes
-    must be negligible or they would leave the truncated space.
+    Returns a fresh array. The excited component is raised by two, so its
+    top two amplitudes must be negligible or they would leave the
+    truncated space.
     """
-    dim = state.dim
-    e, g = state.e_amps, state.g_amps
+    dim = _joint_dim(state)
+    e, g = state[:dim], state[dim:]
     top = float(np.max(np.abs(e[max(0, dim - 2):])))
     _check_edge(top, "largest top-two excited amplitude", f"enlarge dim={dim}")
     n = np.arange(dim, dtype=float)
@@ -78,7 +88,7 @@ def evolve_closed_form(state: QubitFieldState, gt: float) -> QubitFieldState:
     raised = np.zeros(dim, dtype=complex)
     raised[2:] = sin_e[: dim - 2]
     g_new = -1j * raised + np.cos(rabi_angle(n - 2.0, gt)) * g
-    return QubitFieldState(e_new, g_new)
+    return np.concatenate([e_new, g_new])
 
 
 def build_hamiltonian(dim: int) -> np.ndarray:
@@ -99,21 +109,19 @@ def build_hamiltonian(dim: int) -> np.ndarray:
     return h
 
 
-def evolve_oracle(state: QubitFieldState, gt: float) -> QubitFieldState:
-    """exp(-i H gt), H in units of g, via dense Hermitian eigendecomposition.
+def evolve_oracle(state: np.ndarray, gt: float) -> np.ndarray:
+    """exp(-i H gt) on the 2N joint vector, H in units of g, via dense
+    Hermitian eigendecomposition; returns a fresh array.
 
     Independent of the closed form; used to certify it.
     """
-    dim = state.dim
+    dim = _joint_dim(state)
     h = build_hamiltonian(dim)
     try:
         evals, evecs = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
         raise DiagonalizationFailure(f"eigh failed on the {2 * dim}x{2 * dim} Hamiltonian") from exc
-    vec = np.concatenate([state.e_amps, state.g_amps])
-    phases = np.exp(-1j * evals * gt)
-    out = evecs @ (phases * (evecs.conj().T @ vec))
-    return QubitFieldState(out[:dim], out[dim:])
+    return evecs @ (np.exp(-1j * evals * gt) * (evecs.conj().T @ state))
 
 
 # ---------------------------------------------------------------------------

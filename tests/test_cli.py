@@ -74,6 +74,41 @@ def test_run_rejects_tolerance_of_one(tmp_path, capsys):
     assert err == "error: invalid config: tolerance norm_tol must be a finite number in [0, 1)\n"
 
 
+@pytest.mark.parametrize("mode", ["subtract", "add"])
+def test_run_rejects_tail_tol_below_window_mass(tmp_path, capsys, mode):
+    # the window drops up to 1e-20 of mass unchecked, so below that a
+    # subtraction trips its bottom-two guard at a lo no config field moves
+    # and an addition drops more than tail_tol without a check
+    tolerances = {"tail_tol": 1e-22}
+    config = write_config(tmp_path, alpha=45, mode=mode, m=10, dim=2800, tolerances=tolerances)
+    rc = main(["run", str(config), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == (
+        "error: invalid config: tolerance tail_tol must be a finite number in [1e-20, 1)\n"
+    )
+
+
+def test_run_rejects_config_that_is_not_an_object(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text("[1, 2]")
+    rc = main(["run", str(config), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == "error: invalid config: config must be a JSON object\n"
+
+
+def test_run_reports_uncreatable_output_directory(tmp_path, capsys):
+    shipped = Path(__file__).resolve().parent.parent / "configs" / "add_alpha5.json"
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    rc = main(["run", str(shipped), "--out", str(taken)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.count("\n") == 1
+    assert err.startswith(f"error: cannot create output directory {taken}: ")
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -209,6 +244,28 @@ def test_oracle_check_writes_report(tmp_path):
     # the report's bytes as released, numbers in shortest float repr
     digest = hashlib.sha256(report_path.read_bytes()).hexdigest()
     assert digest == "4aa445ab2059b36fff69f77cb6eebb5e728d83ea0a76c24b27a0c100a46e60f0"
+
+
+def test_oracle_check_reports_unwritable_report(tmp_path, capsys):
+    path = tmp_path / "missing" / "r.json"
+    rc = main(["oracle-check", "--dim", "8", "--trials", "1", "--out", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(f"error: cannot write {path}: ")
+
+
+def test_oracle_check_reports_failure(capsys, monkeypatch):
+    def too_fast(n, gt):  # the closed form's Rabi angle, 1% too large
+        return 1.01 * gt * np.sqrt((n + 2.0) * (n + 1.0))
+
+    monkeypatch.setattr("tpjc.dynamics.rabi_angle", too_fast)
+    rc = main(["oracle-check", "--dim", "8", "--trials", "1"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "max_deviation=3.375e-01" in captured.out
+    assert captured.err == "FAIL: max deviation 3.375e-01 exceeds 1.0e-08\n"
 
 
 def test_oracle_check_reports_eigh_failure(capsys, monkeypatch):

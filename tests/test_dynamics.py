@@ -11,10 +11,10 @@ from tpjc import (
     DEFAULT_TOL,
     DensityMatrix,
     DiagonalizationFailure,
+    DimensionMismatch,
     FockVector,
     LOW_MASS_TOL,
     Mode,
-    QubitFieldState,
     TruncationTooSmall,
     add_photons_ideal,
     approx_error,
@@ -48,7 +48,7 @@ def random_joint_state(rng, dim):
     raw = rng.standard_normal(2 * dim) + 1j * rng.standard_normal(2 * dim)
     raw[dim - 2 : dim] = 0.0
     raw /= np.linalg.norm(raw)
-    return QubitFieldState(raw[:dim], raw[dim:])
+    return raw
 
 
 def random_density(rng, dim, zero_top=2):
@@ -57,16 +57,6 @@ def random_density(rng, dim, zero_top=2):
         a[dim - zero_top :, :] = 0.0
     rho = a @ a.conj().T
     return DensityMatrix(rho / np.trace(rho).real)
-
-
-def deviation(a: QubitFieldState, b: QubitFieldState) -> float:
-    return float(
-        np.linalg.norm(np.concatenate([a.e_amps - b.e_amps, a.g_amps - b.g_amps]))
-    )
-
-
-def joint_norm(state: QubitFieldState) -> float:
-    return float(np.linalg.norm(np.concatenate([state.e_amps, state.g_amps])))
 
 
 # ---------------------------------------------------------------------------
@@ -91,38 +81,35 @@ def test_evolve_t0_identity():
     rng = np.random.default_rng(1)
     state = random_joint_state(rng, 24)
     out = evolve_closed_form(state, 0.0)
-    assert deviation(out, state) < 1e-15
+    assert np.linalg.norm(out - state) < 1e-15
 
 
 def test_evolve_vacuum_excited_block():
     # |0, e> oscillates against |2, g> at Omega(0) = g sqrt(2)
     dim = 16
-    e = np.zeros(dim, dtype=complex)
-    e[0] = 1.0
-    state = QubitFieldState(e, np.zeros(dim, dtype=complex))
+    state = np.zeros(2 * dim, dtype=complex)
+    state[0] = 1.0
     for gt in (0.3, 0.7, 2.0):
         out = evolve_closed_form(state, gt)
-        assert abs(out.e_amps[0] - math.cos(math.sqrt(2.0) * gt)) < 1e-14
-        assert abs(out.g_amps[2] - (-1j) * math.sin(math.sqrt(2.0) * gt)) < 1e-14
-        others = np.concatenate([out.e_amps[1:], out.g_amps[:2], out.g_amps[3:]])
+        assert abs(out[0] - math.cos(math.sqrt(2.0) * gt)) < 1e-14
+        assert abs(out[dim + 2] - (-1j) * math.sin(math.sqrt(2.0) * gt)) < 1e-14
+        others = np.concatenate([out[1 : dim + 2], out[dim + 3 :]])
         assert np.all(others == 0.0)
 
 
 def test_evolve_vacuum_ground_is_dark():
     dim = 12
-    g = np.zeros(dim, dtype=complex)
-    g[0] = 1.0
-    state = QubitFieldState(np.zeros(dim, dtype=complex), g)
+    state = np.zeros(2 * dim, dtype=complex)
+    state[dim] = 1.0
     for gt in (0.5, math.pi, 9.0):
         out = evolve_closed_form(state, gt)
-        assert deviation(out, state) == 0.0
+        assert np.linalg.norm(out - state) == 0.0
 
 
 def test_evolve_guards_top_excited_amplitudes():
     dim = 16
-    e = np.zeros(dim, dtype=complex)
-    e[dim - 1] = 1.0
-    state = QubitFieldState(e, np.zeros(dim, dtype=complex))
+    state = np.zeros(2 * dim, dtype=complex)
+    state[dim - 1] = 1.0
     with pytest.raises(TruncationTooSmall):
         evolve_closed_form(state, 1.0)
 
@@ -135,14 +122,14 @@ def test_evolve_below_three_levels_is_dark_or_truncated(dim):
     zeros = np.zeros(dim, dtype=complex)
     g = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     for gt in (0.0, 0.3, math.pi, 7.1, 1e6):
-        out = evolve_closed_form(QubitFieldState(zeros, g), gt)
-        assert np.all(out.e_amps == 0.0)
-        assert np.all(out.g_amps == g)
+        out = evolve_closed_form(np.concatenate([zeros, g]), gt)
+        assert np.all(out[:dim] == 0.0)
+        assert np.all(out[dim:] == g)
     for j in range(dim):
         e = zeros.copy()
         e[j] = 1e-3
         with pytest.raises(TruncationTooSmall):
-            evolve_closed_form(QubitFieldState(e, g), math.pi)
+            evolve_closed_form(np.concatenate([e, g]), math.pi)
 
 
 def test_evolve_preserves_joint_norm():
@@ -150,7 +137,7 @@ def test_evolve_preserves_joint_norm():
     for _ in range(10):
         state = random_joint_state(rng, 48)
         out = evolve_closed_form(state, math.pi)
-        assert abs(joint_norm(out) - 1.0) < 1e-10
+        assert abs(np.linalg.norm(out) - 1.0) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -178,9 +165,9 @@ def test_oracle_t0_identity_and_unitarity():
     rng = np.random.default_rng(6)
     state = random_joint_state(rng, 20)
     out0 = evolve_oracle(state, 0.0)
-    assert deviation(out0, state) < 1e-12
+    assert np.linalg.norm(out0 - state) < 1e-12
     out = evolve_oracle(state, math.pi)
-    assert abs(joint_norm(out) - 1.0) < 1e-10
+    assert abs(np.linalg.norm(out) - 1.0) < 1e-10
 
 
 def _eigh_fails(h):
@@ -200,7 +187,8 @@ def test_closed_form_matches_oracle():
     for _ in range(20):
         state = random_joint_state(rng, 48)
         for gt in (0.3, math.pi, 7.1):
-            worst = max(worst, deviation(evolve_closed_form(state, gt), evolve_oracle(state, gt)))
+            delta = evolve_closed_form(state, gt) - evolve_oracle(state, gt)
+            worst = max(worst, np.linalg.norm(delta))
     assert worst < 1e-8
 
 
@@ -209,7 +197,21 @@ def test_closed_form_matches_oracle_g_not_one():
     state = random_joint_state(rng, 32)
     # the angle of coupling g = 0.37 over t = 5
     gt = 0.37 * 5.0
-    assert deviation(evolve_closed_form(state, gt), evolve_oracle(state, gt)) < 1e-10
+    assert np.linalg.norm(evolve_closed_form(state, gt) - evolve_oracle(state, gt)) < 1e-10
+
+
+@pytest.mark.parametrize("propagator", [evolve_closed_form, evolve_oracle])
+def test_propagators_check_shape_and_keep_their_input(propagator):
+    # a joint state is one 1-d array of 2N amplitudes
+    for shape in [(4, 4), 0, 7]:
+        with pytest.raises(DimensionMismatch, match="2N"):
+            propagator(np.zeros(shape, dtype=complex), 1.0)
+    state = random_joint_state(np.random.default_rng(3), 8)
+    before = state.copy()
+    state.flags.writeable = False  # any write into the input raises
+    out = propagator(state, math.pi)
+    assert out.shape == state.shape and not np.shares_memory(out, state)
+    np.testing.assert_array_equal(state, before)
 
 
 # ---------------------------------------------------------------------------
@@ -266,15 +268,15 @@ def test_pass_maps_match_reduced_evolution():
             ]
         )
     ).normalized()
-    excited = QubitFieldState(psi.amps, np.zeros(dim, dtype=complex))
-    out = evolve_closed_form(excited, math.pi)
-    reduced = np.outer(out.e_amps, out.e_amps.conj()) + np.outer(out.g_amps, out.g_amps.conj())
-    np.testing.assert_allclose(pass_add(pure_density(psi)).elems, reduced, atol=1e-12)
-
-    ground = QubitFieldState(np.zeros(dim, dtype=complex), psi.amps)
-    out = evolve_closed_form(ground, math.pi)
-    reduced = np.outer(out.e_amps, out.e_amps.conj()) + np.outer(out.g_amps, out.g_amps.conj())
-    np.testing.assert_allclose(pass_subtract(pure_density(psi)).elems, reduced, atol=1e-12)
+    zeros = np.zeros(dim)
+    for state, pass_map in [
+        (np.concatenate([psi.amps, zeros]), pass_add),
+        (np.concatenate([zeros, psi.amps]), pass_subtract),
+    ]:
+        out = evolve_closed_form(state, math.pi)
+        e, g = out[:dim], out[dim:]
+        reduced = np.outer(e, e.conj()) + np.outer(g, g.conj())
+        np.testing.assert_allclose(pass_map(pure_density(psi)).elems, reduced, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -289,11 +291,9 @@ def test_single_pass_approximates_photon_addition():
     raw[dim - 2 :] = 0.0
     psi = FockVector(raw).normalized()
 
-    out = evolve_closed_form(
-        QubitFieldState(psi.amps, np.zeros(dim, dtype=complex)), math.pi
-    )
+    out = evolve_closed_form(np.concatenate([psi.amps, np.zeros(dim)]), math.pi)
     ideal = add_photons_ideal(psi, 1)
-    overlap_sq = abs(np.vdot(ideal.amps, out.g_amps)) ** 2
+    overlap_sq = abs(np.vdot(ideal.amps, out[dim:])) ** 2
 
     p = fock_distribution(psi)
     # sqrt((j+2)(j+1)) < j+2, so (j+2) * relative error bounds the absolute
@@ -305,7 +305,7 @@ def test_single_pass_approximates_photon_addition():
     )
     assert overlap_sq >= 1.0 - eps
     # the qubit ends (approximately) flipped to the ground state
-    assert float(np.linalg.norm(out.e_amps)) ** 2 <= eps
+    assert float(np.linalg.norm(out[:dim])) ** 2 <= eps
 
 
 def test_single_pass_approximates_photon_subtraction():
@@ -315,11 +315,9 @@ def test_single_pass_approximates_photon_subtraction():
     raw[:6] = 0.0  # support on j >= 6
     psi = FockVector(raw).normalized()
 
-    out = evolve_closed_form(
-        QubitFieldState(np.zeros(dim, dtype=complex), psi.amps), math.pi
-    )
+    out = evolve_closed_form(np.concatenate([np.zeros(dim), psi.amps]), math.pi)
     ideal, _ = subtract_photons_ideal(psi, 1)
-    overlap_sq = abs(np.vdot(ideal.amps, out.e_amps)) ** 2
+    overlap_sq = abs(np.vdot(ideal.amps, out[:dim])) ** 2
 
     p = fock_distribution(psi)
     eps = sum(
@@ -328,7 +326,7 @@ def test_single_pass_approximates_photon_subtraction():
         if p[j] > 0
     )
     assert overlap_sq >= 1.0 - eps
-    assert float(np.linalg.norm(out.g_amps)) ** 2 <= eps
+    assert float(np.linalg.norm(out[dim:])) ** 2 <= eps
 
 
 # ---------------------------------------------------------------------------
@@ -522,9 +520,9 @@ def test_sweep_guards_top_mass():
 
 
 def _trip_evolve_top_two():
-    e = np.zeros(16, dtype=complex)
-    e[15] = 1.0
-    evolve_closed_form(QubitFieldState(e, np.zeros(16, dtype=complex)), 1.0)
+    state = np.zeros(32, dtype=complex)
+    state[15] = 1.0
+    evolve_closed_form(state, 1.0)
 
 
 def _trip_sweep_top_two():

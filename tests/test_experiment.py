@@ -111,6 +111,9 @@ def test_config_rejects_undersized_dim():
         # norm_tol >= 1 makes subtraction at m = 0 remove "all" of the state
         {"alpha": 12.0, "mode": "subtract", "m": 50, "tolerances": {"norm_tol": 1}},
         {"alpha": 5.0, "mode": "add", "m": 1, "tolerances": {"tail_tol": 1.0}},
+        # the protocol's window drops up to WINDOW_MASS_TOL of mass unchecked
+        {"alpha": 5.0, "mode": "add", "m": 1, "tolerances": {"tail_tol": 1e-22}},
+        {"alpha": 5.0, "mode": "add", "m": 1, "tolerances": {"tail_tol": 0}},
     ],
 )
 def test_config_rejects_invalid_fields(bad):
@@ -212,6 +215,7 @@ def test_parse_config_returns_runnable_config_or_rejects(data):
     assert width * width * 8 + dim * 6 * 16 <= MEMORY_BUDGET
     for value in dataclasses.astuple(config.tolerances):
         assert 0.0 <= value < 1.0
+    assert config.tolerances.tail_tol >= WINDOW_MASS_TOL
 
 
 # Configs small enough to run in milliseconds (|alpha| <= 4, m <= 6,
@@ -385,10 +389,13 @@ def test_json_round_trip(tmp_path):
     assert loaded == result
 
 
-@pytest.mark.parametrize("text", ['{"fidelity_series": [[0, 1', "{}"], ids=["truncated", "empty"])
+@pytest.mark.parametrize(
+    "text", ['{"fidelity_series": [[0, 1', "{}", None], ids=["truncated", "empty", "missing"]
+)
 def test_load_result_rejects_corrupt_file(tmp_path, text):
     path = tmp_path / "result.json"
-    path.write_text(text)
+    if text is not None:
+        path.write_text(text)
     with pytest.raises(IoFailure, match="result.json"):
         load_result(path)
 

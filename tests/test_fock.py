@@ -9,7 +9,6 @@ from tpjc import (
     DensityMatrix,
     DimensionMismatch,
     FockVector,
-    QubitFieldState,
     Tolerances,
     TruncationTooSmall,
     apply_annihilation,
@@ -83,6 +82,16 @@ def test_coherent_complex_alpha_phases():
 def test_coherent_rejects_too_small_truncation():
     with pytest.raises(TruncationTooSmall):
         make_coherent(5, 10)
+
+
+def test_coherent_guard_suggests_only_a_larger_dim():
+    # the policy's dim for alpha 2 is 48, so at dim 70 naming it would
+    # suggest a smaller space
+    with pytest.raises(TruncationTooSmall) as info:
+        make_coherent(2, 70, Tolerances(tail_tol=0.0))
+    message = str(info.value)
+    assert message.startswith("coherent tail mass ")
+    assert message.endswith(" exceeds tail_tol=0.000e+00; enlarge dim=70 or raise tail_tol")
 
 
 def test_coherent_accepts_policy_dim_at_large_alpha():
@@ -196,16 +205,6 @@ def test_density_matrix_validation():
     assert abs(rho.trace() - 1.0) <= 1e-10
     assert rho.hermiticity_defect() <= 1e-10
     assert np.linalg.eigvalsh(rho.elems)[0] >= -1e-8
-
-
-def test_qubit_field_state_joint_norm():
-    e = np.zeros(4, dtype=complex)
-    g = np.zeros(4, dtype=complex)
-    e[0] = g[1] = 1 / math.sqrt(2)
-    state = QubitFieldState(e, g)
-    assert np.linalg.norm(np.concatenate([state.e_amps, state.g_amps])) == pytest.approx(1.0)
-    with pytest.raises(DimensionMismatch):
-        QubitFieldState(np.zeros(3), np.zeros(4))
 
 
 def test_tolerance_defaults():
