@@ -29,11 +29,9 @@ import numpy as np
 
 from .errors import DiagonalizationFailure, DimensionMismatch, ZeroMeanPhoton
 from .fock import (
-    DEFAULT_TOL,
     LOW_MASS_TOL,
     DensityMatrix,
     FockVector,
-    Tolerances,
     _check_edge,
     _moments,
     _unit_clamp,
@@ -179,11 +177,12 @@ def pass_subtract(rho: DensityMatrix) -> DensityMatrix:
 SWEEP_ROWS = 32
 
 
-def _sweep(buf: np.ndarray, c, s, u: np.ndarray, mode: Mode, tol: Tolerances, lo: int = 0) -> float:
+def _sweep(buf: np.ndarray, c, s_buf, u: np.ndarray, mode: Mode, lo: int = 0) -> float:
     """One pass, rounded as :func:`pass_add` / :func:`pass_subtract` round,
     in place on the window rho = buf[2:-2, 2:-2] (levels lo .. N-1, any
     dtype; two zero levels pad each side), ``SWEEP_ROWS`` rows at a time.
-    Returns <u| rho' |u>.
+    ``c`` is C on the window's levels, ``s_buf`` S on buf's, zero on the
+    padding. Returns <u| rho' |u>.
 
     Row i reads the old row i -+ 2, so ADD runs bottom-up and SUBTRACT
     top-down, reading each source row before it is overwritten. The rows a
@@ -193,12 +192,11 @@ def _sweep(buf: np.ndarray, c, s, u: np.ndarray, mode: Mode, tol: Tolerances, lo
     rho = buf[2:-2, 2:-2]
     w = rho.shape[0]
     if mode is Mode.ADD:
-        _check_edge(np.trace(rho[-2:, -2:]).real, "top-two diagonal mass", f"enlarge dim={lo + w}", tol)
+        _check_edge(np.trace(rho[-2:, -2:]).real, "top-two diagonal mass", f"enlarge dim={lo + w}")
     elif lo > 0:
         fix = f"the window starts at lo={lo}"
-        _check_edge(np.trace(rho[:2, :2]).real, "bottom-two diagonal mass", fix, tol)
+        _check_edge(np.trace(rho[:2, :2]).real, "bottom-two diagonal mass", fix)
     q = 0 if mode is Mode.ADD else 4  # rho's row i receives buf's old row i + q
-    s_buf = np.pad(s, 2)  # S on buf's levels, zero on the padding
     scratch = np.empty((SWEEP_ROWS, w), dtype=buf.dtype)
     y = np.empty(w, dtype=np.result_type(buf, u))
     starts = range(0, w, SWEEP_ROWS)
@@ -257,9 +255,7 @@ def _dist_pairs(p: np.ndarray) -> list[tuple[int, float]]:
     return [(j, float(p[j])) for j in range(p.size)]
 
 
-def run_protocol(
-    psi0: FockVector, m: int, mode: Mode, tol: Tolerances = DEFAULT_TOL
-) -> ProtocolResult:
+def run_protocol(psi0: FockVector, m: int, mode: Mode) -> ProtocolResult:
     """Iterate m passes from rho_0 = |psi0><psi0|, tracking fidelity.
 
     After pass k the fidelity F(k) = <target_k| rho_k |target_k> is
@@ -298,7 +294,7 @@ def run_protocol(
     sign = (-1.0) ** np.arange(lo, psi0.dim)
 
     def target(k: int) -> np.ndarray:
-        amps = ideal_state(psi0, k, mode, tol).amps[lo:]
+        amps = ideal_state(psi0, k, mode).amps[lo:]
         return sign**k * np.abs(amps) if real else amps
 
     w = target(0)
@@ -307,9 +303,10 @@ def run_protocol(
     # |c|^2 as initial_dist has it: the real path's |c| |c| can be an ulp off
     np.fill_diagonal(rho, p0[lo:])
     c, s = _pass_diagonals(lo, psi0.dim, mode)
+    s_buf = np.pad(s, 2)
     series: list[tuple[int, float]] = [(0, _unit_clamp(np.vdot(w, rho @ w).real))]
     for k in range(1, m + 1):
-        series.append((k, _unit_clamp(_sweep(buf, c, s, target(k), mode, tol, lo))))
+        series.append((k, _unit_clamp(_sweep(buf, c, s_buf, target(k), mode, lo))))
 
     final_dist = np.zeros(psi0.dim)
     final_dist[lo:] = np.real(np.diag(rho))

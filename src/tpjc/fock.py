@@ -24,11 +24,9 @@ from .errors import AllMassRemoved, DimensionMismatch, TruncationTooSmall
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Numerical tolerances used throughout the package.
-
-    Defaults leave double-precision headroom for ~100 iterated matrix
-    products (50 protocol passes).
-    """
+    """Thresholds that gate a run and never change a value it computes:
+    ``tail_tol`` bounds every truncation guard, ``norm_tol`` the mass a
+    subtraction may remove."""
 
     norm_tol: float = 1e-10
     tail_tol: float = 1e-10
@@ -126,6 +124,8 @@ def make_fock(n: int, dim: int) -> FockVector:
     return FockVector(amps)
 
 
+# tol: the one override left, for library callers; perfbench's harness passes
+# a config's tolerances here. Every other guard gates at DEFAULT_TOL.
 def make_coherent(alpha: complex, dim: int, tol: Tolerances = DEFAULT_TOL) -> FockVector:
     """Coherent state |alpha>: c_j = exp(-|alpha|^2/2) alpha^j / sqrt(j!).
 

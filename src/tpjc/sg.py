@@ -32,7 +32,6 @@ from .fock import (
     LOW_MASS_TOL,
     DensityMatrix,
     FockVector,
-    Tolerances,
     _check_edge,
     _moments,
     apply_annihilation,
@@ -69,7 +68,7 @@ def _ladder_phases(size: int, m: int) -> np.ndarray:
     return (1.0, 1j, -1.0, -1j)[m % 4] * (-1.0) ** (m * np.arange(size))
 
 
-def add_photons_ideal(psi: FockVector, m: int, tol: Tolerances = DEFAULT_TOL) -> FockVector:
+def add_photons_ideal(psi: FockVector, m: int) -> FockVector:
     """Apply [i V^dag^2 (-1)^n]^m: i^m (-1)^(j m) c_j lands at index j + 2m.
 
     Norm-preserving up to the truncation guard: the top 2m amplitudes must
@@ -79,16 +78,14 @@ def add_photons_ideal(psi: FockVector, m: int, tol: Tolerances = DEFAULT_TOL) ->
         raise ValueError("m must be >= 0")
     if m > 0:
         top = float(np.max(np.abs(psi.amps[max(0, psi.dim - 2 * m):])))
-        _check_edge(top, f"largest of the top {2 * m} amplitudes", f"enlarge dim={psi.dim}", tol)
+        _check_edge(top, f"largest of the top {2 * m} amplitudes", f"enlarge dim={psi.dim}")
     kept = max(0, psi.dim - 2 * m)
     out = np.zeros(psi.dim, dtype=complex)
     out[psi.dim - kept :] = _ladder_phases(kept, m) * psi.amps[:kept]
     return FockVector(out)
 
 
-def subtract_photons_ideal(
-    psi: FockVector, m: int, tol: Tolerances = DEFAULT_TOL
-) -> tuple[FockVector, float]:
+def subtract_photons_ideal(psi: FockVector, m: int) -> tuple[FockVector, float]:
     """Apply (1 - S)^(-1/2) [i V^2 (-1)^n]^m; returns (state, S).
 
     The map puts i^m (-1)^(j m) c_{j+2m} at index j. S is the low-component
@@ -99,7 +96,7 @@ def subtract_photons_ideal(
     if m < 0:
         raise ValueError("m must be >= 0")
     low_mass = low_component_mass(psi, m)
-    if low_mass >= 1.0 - tol.norm_tol:
+    if low_mass >= 1.0 - DEFAULT_TOL.norm_tol:
         raise AllMassRemoved(
             f"subtraction with m={m} removes mass {low_mass:.12f} (all of the state)"
         )
@@ -127,13 +124,11 @@ def subtracted_mean_predict(psi: FockVector, m: int) -> float:
     return (mean_photon(psi) - 2.0 * m + correction) / (1.0 - low_mass)
 
 
-def ideal_state(
-    psi: FockVector, m: int, mode: Mode, tol: Tolerances = DEFAULT_TOL
-) -> FockVector:
+def ideal_state(psi: FockVector, m: int, mode: Mode) -> FockVector:
     """The ideal ladder state with m steps in direction ``mode`` from ``psi``."""
     if mode is Mode.ADD:
-        return add_photons_ideal(psi, m, tol)
-    state, _ = subtract_photons_ideal(psi, m, tol)
+        return add_photons_ideal(psi, m)
+    state, _ = subtract_photons_ideal(psi, m)
     return state
 
 

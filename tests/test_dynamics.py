@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from tpjc import (
-    DEFAULT_TOL,
     DensityMatrix,
     DiagonalizationFailure,
     DimensionMismatch,
@@ -502,10 +501,10 @@ def test_subtract_window_guards_bottom_mass():
     u = np.zeros(dim - lo)
     c, s = dynamics._pass_diagonals(lo, dim, Mode.SUBTRACT)
     with pytest.raises(TruncationTooSmall, match="bottom-two"):
-        dynamics._sweep(padded, c, s, u, Mode.SUBTRACT, DEFAULT_TOL, lo)
+        dynamics._sweep(padded, c, np.pad(s, 2), u, Mode.SUBTRACT, lo)
     # at lo = 0 the same mass sits on the dark level |0> and stays put
     c, s = dynamics._pass_diagonals(0, dim - lo, Mode.SUBTRACT)
-    dynamics._sweep(padded, c, s, u, Mode.SUBTRACT, DEFAULT_TOL)
+    dynamics._sweep(padded, c, np.pad(s, 2), u, Mode.SUBTRACT)
     assert buf[0, 0] == 1.0
 
 
@@ -516,7 +515,7 @@ def test_sweep_guards_top_mass():
     padded[dim + 1, dim + 1] = 1.0
     c, s = dynamics._pass_diagonals(0, dim, Mode.ADD)
     with pytest.raises(TruncationTooSmall, match="top-two"):
-        dynamics._sweep(padded, c, s, np.zeros(dim), Mode.ADD, DEFAULT_TOL)
+        dynamics._sweep(padded, c, np.pad(s, 2), np.zeros(dim), Mode.ADD)
 
 
 def _trip_evolve_top_two():
@@ -529,14 +528,14 @@ def _trip_sweep_top_two():
     padded = np.zeros((17, 17))
     padded[14, 14] = 1.0
     c, s = dynamics._pass_diagonals(0, 13, Mode.ADD)
-    dynamics._sweep(padded, c, s, np.zeros(13), Mode.ADD, DEFAULT_TOL)
+    dynamics._sweep(padded, c, np.pad(s, 2), np.zeros(13), Mode.ADD)
 
 
 def _trip_sweep_bottom_two():
     padded = np.zeros((12, 12))
     padded[2, 2] = 1.0
     c, s = dynamics._pass_diagonals(5, 13, Mode.SUBTRACT)
-    dynamics._sweep(padded, c, s, np.zeros(8), Mode.SUBTRACT, DEFAULT_TOL, 5)
+    dynamics._sweep(padded, c, np.pad(s, 2), np.zeros(8), Mode.SUBTRACT, 5)
 
 
 @pytest.mark.parametrize(

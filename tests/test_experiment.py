@@ -1,6 +1,5 @@
 """Config parsing, experiment runner, emitters, determinism."""
 
-import dataclasses
 import json
 import math
 import tempfile
@@ -12,6 +11,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tpjc import (
+    DEFAULT_TOL,
+    AllMassRemoved,
     ConfigInvalid,
     IoFailure,
     Mode,
@@ -24,6 +25,7 @@ from tpjc import (
     oracle_check,
     run,
     run_experiment,
+    run_protocol,
     subtract_photons_ideal,
 )
 from tpjc.cli import main
@@ -107,11 +109,10 @@ def test_config_rejects_undersized_dim():
             "m": 1,
             "outputs": ["fock_dist", "fidelity_series", "mandel_q", "mean_photon"],
         },
-        # tail_tol >= 1 disarms every guard (each guarded value is <= 1), and
-        # norm_tol >= 1 makes subtraction at m = 0 remove "all" of the state
+        # tolerances is not a config field either, whatever it holds: every
+        # guard on the run path gates at DEFAULT_TOL
         {"alpha": 12.0, "mode": "subtract", "m": 50, "tolerances": {"norm_tol": 1}},
         {"alpha": 5.0, "mode": "add", "m": 1, "tolerances": {"tail_tol": 1.0}},
-        # the protocol's window drops up to WINDOW_MASS_TOL of mass unchecked
         {"alpha": 5.0, "mode": "add", "m": 1, "tolerances": {"tail_tol": 1e-22}},
         {"alpha": 5.0, "mode": "add", "m": 1, "tolerances": {"tail_tol": 0}},
     ],
@@ -119,14 +120,6 @@ def test_config_rejects_undersized_dim():
 def test_config_rejects_invalid_fields(bad):
     with pytest.raises(ConfigInvalid):
         parse_config(bad)
-
-
-def test_config_tolerance_overrides():
-    config = parse_config(
-        {"alpha": 2.0, "mode": "add", "m": 1, "tolerances": {"tail_tol": 1e-8}}
-    )
-    assert config.tolerances.tail_tol == 1e-8
-    assert config.tolerances.norm_tol == 1e-10
 
 
 def test_load_config_errors(tmp_path):
@@ -161,12 +154,7 @@ _configs = st.builds(
             "mode": st.sampled_from(["add", "subtract"]),
             "m": st.one_of(st.integers(0, 60), st.integers(0, 10**30), st.just(10**400)),
         },
-        optional={
-            "dim": st.one_of(st.integers(1, 10**4), _number),
-            "tolerances": st.dictionaries(
-                st.sampled_from(["norm_tol", "tail_tol", "herm_tol"]), _number, max_size=2
-            ),
-        },
+        optional={"dim": st.one_of(st.integers(1, 10**4), _number)},
     ),
     st.dictionaries(
         st.sampled_from(["alpha", "mode", "m", "dim", "tolerances", "outputs", "extra_field"]),
@@ -197,6 +185,20 @@ def test_budget_window_bound_is_below_protocol_window(alpha, mode, m):
     assert _budget_lo(config) <= lo
 
 
+def test_no_config_at_the_sizing_policy_trips_a_guard():
+    # every guard on the run path gates at DEFAULT_TOL, and a config's dim is
+    # at or above the sizing policy, where none of them trips
+    for alpha in (0.1, 1, 3, [2, 7], 10, 20):
+        for mode in ("add", "subtract"):
+            for m in (0, 1, 7, 50):
+                config = parse_config({"alpha": alpha, "mode": mode, "m": m})
+                psi0 = make_coherent(config.alpha, config.resolved_dim())
+                try:
+                    run_protocol(psi0, config.m, config.mode)
+                except AllMassRemoved:
+                    pass
+
+
 @settings(max_examples=200, deadline=None)
 @given(_configs)
 @example({"alpha": 1e200, "mode": "add", "m": 1})
@@ -213,13 +215,11 @@ def test_parse_config_returns_runnable_config_or_rejects(data):
     # fit the budget
     width = dim - _budget_lo(config)
     assert width * width * 8 + dim * 6 * 16 <= MEMORY_BUDGET
-    for value in dataclasses.astuple(config.tolerances):
-        assert 0.0 <= value < 1.0
-    assert config.tolerances.tail_tol >= WINDOW_MASS_TOL
+    assert config.tolerances is DEFAULT_TOL
 
 
 # Configs small enough to run in milliseconds (|alpha| <= 4, m <= 6,
-# dim <= 200) with the field and tolerance strategies above, then at most
+# dim <= 200) with the field strategies above, then at most
 # one field that does not size the run set to any primitive.
 _tiny_alpha = st.floats(-2.8, 2.8)
 _tiny_configs = st.builds(
@@ -232,12 +232,7 @@ _tiny_configs = st.builds(
             "mode": st.sampled_from(["add", "subtract"]),
             "m": st.integers(0, 6),
         },
-        optional={
-            "dim": st.integers(1, 200),
-            "tolerances": st.dictionaries(
-                st.sampled_from(["norm_tol", "tail_tol", "herm_tol"]), _number, max_size=2
-            ),
-        },
+        optional={"dim": st.integers(1, 200)},
     ),
     st.dictionaries(
         st.sampled_from(["mode", "tolerances", "outputs", "extra_field"]), _primitive, max_size=1

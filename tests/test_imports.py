@@ -1,5 +1,6 @@
 """Static checks: every name a tpjc module or a test file imports is used
-in that file, and every name the package exports is read by the program."""
+in that file, every name the package exports is read by the program, and
+no function but the coherent build and its guard takes a tolerance override."""
 
 import ast
 from pathlib import Path
@@ -94,3 +95,36 @@ def test_unread_exports_are_found():
 def test_every_export_has_a_program_reader():
     readers = [path.read_text() for path in READERS]
     assert unread_exports((SRC / "__init__.py").read_text(), readers) == []
+
+
+# Every guard on the run path gates at DEFAULT_TOL. make_coherent keeps its
+# tol for library callers (the benchmark harness passes one), and the guard
+# it calls takes it on.
+TOL_OVERRIDES = {"fock.make_coherent", "fock._check_edge"}
+
+
+def tol_parameters(module: str, source: str) -> list[str]:
+    """``module.function`` for each function in ``source`` with a ``tol`` parameter."""
+    return sorted(
+        f"{module}.{node.name}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for arg in (*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs)
+        if arg.arg == "tol"
+    )
+
+
+def test_tol_parameters_are_found():
+    source = (
+        "def plain(x, tolerance=None):\n"
+        "    def inner(tol): pass\n"
+        "def keyword(x, *, tol=None): pass\n"
+        "class A:\n"
+        "    def method(self, tol, /): pass\n"
+    )
+    assert tol_parameters("mod", source) == ["mod.inner", "mod.keyword", "mod.method"]
+
+
+def test_no_run_path_function_takes_a_tolerance():
+    found = [name for path in MODULES for name in tol_parameters(path.stem, path.read_text())]
+    assert [name for name in found if name not in TOL_OVERRIDES] == []
