@@ -60,7 +60,6 @@ from .experiment import (
     load_config,
     load_result,
     oracle_check,
-    run,
     run_experiment,
 )
 

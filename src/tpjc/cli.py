@@ -16,8 +16,9 @@ from .experiment import (
     approx_table_csv,
     emit_approx_table_csv,
     emit_oracle_report,
+    load_config,
     oracle_check,
-    run,
+    run_experiment,
 )
 
 
@@ -50,7 +51,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    result, written = run(args.config, args.out)
+    result, written = run_experiment(load_config(args.config), args.out)
     last_k, last_f = result.fidelity_series[-1]
     q = "undefined" if result.mandel_q_final is None else f"{result.mandel_q_final:.6f}"
     print(f"mean photon: {result.mean_photon_initial:.6f} -> {result.mean_photon_final:.6f}")

@@ -23,6 +23,7 @@ the ideal 2m-photon ladder states of :mod:`tpjc.sg`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +39,7 @@ from .fock import (
     fidelity,  # noqa: F401  (kept as tpjc.dynamics.fidelity; perfbench's smoke test reads it)
     mean_photon,
 )
-from .sg import Mode, _mandel_q, ideal_state, low_component_mass
+from .sg import Mode, _mandel_q, add_photons_ideal, ideal_state, subtract_photons_ideal
 
 
 def rabi_angle(n, gt: float):
@@ -221,6 +222,19 @@ def _sweep(buf: np.ndarray, c, s_buf, u: np.ndarray, mode: Mode, lo: int = 0) ->
 # mass moves fidelities, means and Q by less than double-precision rounding.
 WINDOW_MASS_TOL = 1e-20
 
+
+def first_level_bound(alpha: complex) -> int:
+    """At or below the first level where |alpha>'s cumulative mass exceeds
+    WINDOW_MASS_TOL, by the Poisson tail P(n <= |alpha|^2 - t) <= exp(-t^2 / 2|alpha|^2)."""
+    r = abs(alpha)
+    return math.floor(r * r - math.sqrt(-2.0 * math.log(WINDOW_MASS_TOL)) * r)
+
+
+def window_start(first: int, m: int, mode: Mode) -> int:
+    """lo of an m-pass run's window [lo, N) from its first level with mass."""
+    return max(0, first - (2 * m if mode is Mode.SUBTRACT else 0))  # SUBTRACT moves mass down
+
+
 # Largest ||c - |c| e^{i psi}|| (psi_{j+2} - psi_j constant) that the float64
 # path ignores; results move by about as much. It is above the rounding of
 # make_coherent's phases at every size the run's memory budget admits.
@@ -266,19 +280,21 @@ def run_protocol(psi0: FockVector, m: int, mode: Mode) -> ProtocolResult:
     when psi0's phases pass ``_has_phase_ramp`` (coherent states, even and
     odd cats); otherwise it is rho itself, complex.
 
-    The matrix covers only the Fock window [lo, N). lo is the first index
-    where psi0's cumulative mass exceeds ``WINDOW_MASS_TOL``, lowered by 2m
-    for SUBTRACT (mass moves down two levels per pass) and clamped at 0.
-    ADD moves mass only upward, so nothing enters the window from below.
-    The final distribution is re-embedded on 0 .. N-1. If its mean photon
-    number is 0, Mandel Q is undefined: ``mandel_q_final`` is None and a
-    warning says so.
+    The matrix covers only the Fock window [lo, N) of :func:`window_start`,
+    from the first index where psi0's cumulative mass exceeds
+    ``WINDOW_MASS_TOL``. The m-step target's guards bound every k-step
+    target's, so it is built first and a run that cannot finish stops
+    before its first pass. The final distribution is re-embedded on 0 .. N-1.
+    If its mean photon number is 0, Mandel Q is undefined:
+    ``mandel_q_final`` is None and a warning says so.
     """
     if m < 0:
         raise ValueError("m must be >= 0")
     warnings: list[str] = []
-    if mode is Mode.SUBTRACT:
-        base_low_mass = low_component_mass(psi0, m)
+    if mode is Mode.ADD:
+        add_photons_ideal(psi0, m)
+    else:
+        base_low_mass = subtract_photons_ideal(psi0, m)[1]
         if base_low_mass > LOW_MASS_TOL:
             warnings.append(
                 f"protocol: initial state has low-component mass {base_low_mass:.6e}; "
@@ -287,9 +303,7 @@ def run_protocol(psi0: FockVector, m: int, mode: Mode) -> ProtocolResult:
 
     v = psi0.amps
     p0 = np.real(v * v.conj())
-    lo = int(np.argmax(np.cumsum(p0) > WINDOW_MASS_TOL))
-    if mode is Mode.SUBTRACT:
-        lo = max(0, lo - 2 * m)
+    lo = window_start(int(np.argmax(np.cumsum(p0) > WINDOW_MASS_TOL)), m, mode)
     real = _has_phase_ramp(v)
     sign = (-1.0) ** np.arange(lo, psi0.dim)
 

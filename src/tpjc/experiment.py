@@ -15,17 +15,19 @@ import json
 import math
 import sys
 from dataclasses import dataclass, fields, replace
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
 
 from .dynamics import (
-    WINDOW_MASS_TOL,
     ProtocolResult,
     approx_error,
     evolve_closed_form,
     evolve_oracle,
+    first_level_bound,
     run_protocol,
+    window_start,
 )
 from .errors import ConfigInvalid, IoFailure, ZeroMeanPhoton
 from .fock import DEFAULT_TOL, Tolerances, default_dim, make_coherent
@@ -46,31 +48,23 @@ APPROX_TABLE_MAX_J = 200
 # host it runs on.
 MEMORY_BUDGET = 2 << 30
 
-# Poisson lower tail: P(n <= |alpha|^2 - t) <= exp(-t^2 / 2|alpha|^2), which
-# is WINDOW_MASS_TOL at t = _WINDOW_SIGMAS |alpha| (9.597 |alpha|), so
-# run_protocol's window starts at or above |alpha|^2 - t (minus 2m for SUBTRACT).
-_WINDOW_SIGMAS = math.sqrt(-2.0 * math.log(WINDOW_MASS_TOL))
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated parameters of one protocol experiment."""
+    """One validated run; ``dim`` is its resolved Fock truncation N."""
 
     alpha: complex
     mode: Mode
     m: int
-    dim: int | None = None
-    # Not a config field: every guard on the run path gates at DEFAULT_TOL.
-    # Kept because perfbench's harness passes it to make_coherent and reads
-    # its norm_tol.
-    tolerances: Tolerances = DEFAULT_TOL
+    dim: int
+
+    # The run needs neither (its guards gate at DEFAULT_TOL); perfbench reads both.
+    @property
+    def tolerances(self) -> Tolerances:
+        return DEFAULT_TOL
 
     def resolved_dim(self) -> int:
-        return self.dim if self.dim is not None else self.minimum_dim()
-
-    def minimum_dim(self) -> int:
-        gain = 2 * self.m if self.mode is Mode.ADD else 0
-        return default_dim(self.alpha, gain)
+        return self.dim
 
 
 # ---------------------------------------------------------------------------
@@ -89,8 +83,8 @@ def _parse_alpha(raw) -> complex:
 
 
 def parse_config(data: dict) -> ExperimentConfig:
-    """Validate a decoded config object; raises ConfigInvalid with the
-    offending field named."""
+    """Validate a decoded config object and resolve its dim; raises
+    ConfigInvalid with the offending field named."""
     if not isinstance(data, dict):
         raise ConfigInvalid("config must be a JSON object")
     known = {"alpha", "mode", "m", "dim"}
@@ -103,46 +97,41 @@ def parse_config(data: dict) -> ExperimentConfig:
 
     alpha = _parse_alpha(data["alpha"])
     try:
-        mode = Mode.from_string(str(data["mode"]))
-    except ValueError as exc:
-        raise ConfigInvalid(str(exc)) from None
+        mode = Mode(data["mode"])
+    except ValueError:
+        raise ConfigInvalid(f"mode must be 'add' or 'subtract', got {data['mode']!r}") from None
 
     m = data["m"]
     if not isinstance(m, int) or isinstance(m, bool) or m < 0:
         raise ConfigInvalid(f"m must be a non-negative integer, got {m!r}")
 
-    config = ExperimentConfig(alpha=alpha, mode=mode, m=m)
     try:
-        minimum = config.minimum_dim()
+        minimum = default_dim(alpha, 2 * m if mode is Mode.ADD else 0)
     except OverflowError:  # |alpha|^2 or the photon gain is beyond the float range
         minimum = math.inf
 
     dim = data.get("dim")
-    if dim is not None:
-        if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
-            raise ConfigInvalid(f"dim must be a positive integer, got {dim!r}")
-        if dim < minimum:
-            raise ConfigInvalid(
-                f"dim={dim} below the sizing policy for alpha={alpha}, m={m}, "
-                f"mode={mode.value}; computed minimum is {minimum}"
-            )
-        config = replace(config, dim=dim)
-    resolved = minimum if dim is None else dim
-    if resolved > np.iinfo(np.intp).max:
+    if dim is None:
+        dim = minimum
+    elif not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
+        raise ConfigInvalid(f"dim must be a positive integer, got {dim!r}")
+    elif dim < minimum:
         raise ConfigInvalid(
-            f"dim={resolved} for alpha={alpha}, m={m} exceeds the largest array length "
-            f"{np.iinfo(np.intp).max}"
+            f"dim={dim} below the sizing policy for alpha={alpha}, m={m}, "
+            f"mode={mode.value}; computed minimum is {minimum}"
         )
-    r = abs(alpha)
-    lo = max(0, math.floor(r * r - _WINDOW_SIGMAS * r) - (2 * m if mode is Mode.SUBTRACT else 0))
-    width = resolved - lo
-    need = width * width * 8 + resolved * 6 * 16
+    # An N whose own arrays are over budget (one that is infinite or past intp) is its
+    # own window, so its |alpha| skips the bound; Decimal formats an int past float range.
+    levels = dim * 6 * 16
+    width = dim if levels > MEMORY_BUDGET else dim - window_start(first_level_bound(alpha), m, mode)
+    need = width * width * 8 + levels
     if need > MEMORY_BUDGET:
+        size = f"{need:.3g}" if need <= sys.float_info.max else f"{Decimal(need):.3g}"
         raise ConfigInvalid(
-            f"alpha={alpha}, m={m}, mode={mode.value} needs N={resolved} levels and a "
-            f"W={width} window, {need:.3g} bytes, over the {MEMORY_BUDGET} byte budget"
+            f"alpha={alpha}, m={m}, mode={mode.value} needs N={dim} levels and a "
+            f"W={width} window, {size} bytes, over the {MEMORY_BUDGET} byte budget"
         )
-    return config
+    return ExperimentConfig(alpha=alpha, mode=mode, m=m, dim=dim)
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -325,7 +314,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> tuple[Proto
     except OSError as exc:
         raise IoFailure(f"cannot create output directory {out}: {exc}") from exc
 
-    psi0 = make_coherent(config.alpha, config.resolved_dim(), config.tolerances)
+    psi0 = make_coherent(config.alpha, config.dim)
     result = run_protocol(psi0, config.m, config.mode)
     # Q of the ideal m-step state. The closed form is exact for addition, a
     # shift of a Poisson distribution; subtraction also drops the low levels.
@@ -348,8 +337,3 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> tuple[Proto
     _emit_fields(result, q_json, "mandel_q_final", "mandel_q_predicted")
     _emit_fields(result, mean_json, "mean_photon_initial", "mean_photon_final")
     return result, written
-
-
-def run(config_path: str | Path, out_dir: str | Path = ".") -> tuple[ProtocolResult, list[Path]]:
-    """Load, validate, and execute a config file."""
-    return run_experiment(load_config(config_path), out_dir)

@@ -47,18 +47,19 @@ class Mode(enum.Enum):
     ADD = "add"
     SUBTRACT = "subtract"
 
-    @classmethod
-    def from_string(cls, text: str) -> "Mode":
-        try:
-            return cls(text.strip().lower())
-        except ValueError:
-            raise ValueError(f"mode must be 'add' or 'subtract', got {text!r}") from None
-
 
 def low_component_mass(psi: FockVector, m: int) -> float:
     """Probability mass sum_{k < 2m} |c_k|^2 removed by m subtraction steps."""
     k = min(2 * m, psi.dim)
     return float(np.sum(np.abs(psi.amps[:k]) ** 2))
+
+
+def _removed_mass(psi: FockVector, m: int) -> float:
+    """The mass S that m subtraction steps remove, under 1 - ``norm_tol``."""
+    low_mass = low_component_mass(psi, m)
+    if low_mass >= 1.0 - DEFAULT_TOL.norm_tol:
+        raise AllMassRemoved(f"subtraction with m={m} removes mass {low_mass:.12f} (all of the state)")
+    return low_mass
 
 
 def _ladder_phases(size: int, m: int) -> np.ndarray:
@@ -95,11 +96,7 @@ def subtract_photons_ideal(psi: FockVector, m: int) -> tuple[FockVector, float]:
     """
     if m < 0:
         raise ValueError("m must be >= 0")
-    low_mass = low_component_mass(psi, m)
-    if low_mass >= 1.0 - DEFAULT_TOL.norm_tol:
-        raise AllMassRemoved(
-            f"subtraction with m={m} removes mass {low_mass:.12f} (all of the state)"
-        )
+    low_mass = _removed_mass(psi, m)
     kept = max(0, psi.dim - 2 * m)
     out = np.zeros(psi.dim, dtype=complex)
     out[:kept] = _ladder_phases(kept, m) * psi.amps[psi.dim - kept :]
@@ -116,9 +113,7 @@ def subtracted_mean_predict(psi: FockVector, m: int) -> float:
     The (2m - k) weight accounts for components removed below the shift
     distance; it reduces to <n> - 2m when the low components vanish.
     """
-    low_mass = low_component_mass(psi, m)
-    if low_mass >= 1.0 - DEFAULT_TOL.norm_tol:
-        raise AllMassRemoved(f"subtraction with m={m} removes all mass")
+    low_mass = _removed_mass(psi, m)
     k = np.arange(min(2 * m, psi.dim))
     correction = float(np.sum((2.0 * m - k) * np.abs(psi.amps[: k.size]) ** 2))
     return (mean_photon(psi) - 2.0 * m + correction) / (1.0 - low_mass)

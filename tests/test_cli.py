@@ -7,6 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import tpjc
+from tpjc import dynamics
 from tpjc.cli import main
 from tpjc.experiment import load_result
 
@@ -36,6 +38,19 @@ def test_run_rejects_bad_config(tmp_path, capsys):
     captured = capsys.readouterr()
     assert rc == 2
     assert "invalid config" in captured.err
+
+
+@pytest.mark.parametrize("mode", ["ADD", " add", ["add"]])
+def test_run_accepts_mode_only_as_documented(tmp_path, capsys, mode):
+    config = write_config(tmp_path, mode=mode)
+    rc = main(["run", str(config), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == f"error: invalid config: mode must be 'add' or 'subtract', got {mode!r}\n"
+
+
+def test_cli_is_the_one_config_file_runner():
+    assert not hasattr(tpjc, "run")
 
 
 @pytest.mark.parametrize("alpha", [float("nan"), [3.0, float("inf")]])
@@ -118,6 +133,47 @@ def test_run_rejects_dim_beyond_array_range(tmp_path, capsys, text):
     assert err.count("\n") == 1
     assert "invalid config" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"alpha": 1e10, "mode": "add", "m": 1}',
+        '{"alpha": 1e154, "mode": "add", "m": 1}',
+        '{"alpha": 1e200, "mode": "add", "m": 1}',
+        '{"alpha": [1.7e308, 1.7e308], "mode": "add", "m": 1}',
+        '{"alpha": 1, "mode": "add", "m": 1, "dim": 1%s}' % ("0" * 30),
+        '{"alpha": 1, "mode": "add", "m": 1, "dim": 1%s}' % ("0" * 200),
+    ],
+    ids=["alpha_1e10", "alpha_1e154", "alpha_1e200", "alpha_pair_1.7e308", "dim_1e30", "dim_1e200"],
+)
+def test_run_prices_an_over_long_dim_as_its_own_window(tmp_path, capsys, text):
+    # N's own arrays are over the budget, so W = N and the window bound never
+    # sees the |alpha|; the bytes of 1e154 and of dim 10^200 are past the float range
+    config = tmp_path / "config.json"
+    config.write_text(text)
+    rc = main(["run", str(config), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.count("\n") == 1
+    assert "budget" in err and " levels and a W=" in err and "needs N=" in err
+
+
+@pytest.mark.parametrize("alpha, m", [([0, 3], 40), (45, 1300)])
+def test_run_that_removes_all_mass_stops_before_the_first_pass(
+    tmp_path, capsys, monkeypatch, alpha, m
+):
+    # the m-step subtraction removes the most mass; the run names its m, where
+    # it used to run passes until the k-step target's mass ran out
+    sweep = dynamics._sweep
+    calls = []
+    monkeypatch.setattr(dynamics, "_sweep", lambda *args: calls.append(1) or sweep(*args))
+    config = write_config(tmp_path, alpha=alpha, mode="subtract", m=m)
+    rc = main(["run", str(config), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith(f"error: subtraction with m={m} removes mass ")
+    assert calls == []
 
 
 @pytest.mark.parametrize("alpha", [1e5, 1e9])
@@ -318,7 +374,7 @@ def test_shipped_configs_are_valid():
     for name in ("add_alpha5.json", "subtract_alpha12.json"):
         config = load_config(configs / name)
         assert config.m == 50
-        assert config.dim is not None
+        assert type(config.dim) is int
 
 
 # sha256 of the files `tpjc run` writes for each shipped config. A change

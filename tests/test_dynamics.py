@@ -639,3 +639,13 @@ def test_approx_error_domain():
         approx_error(-1, Mode.ADD)
     with pytest.raises(ValueError):
         approx_error(1, Mode.SUBTRACT)
+
+
+def test_protocol_that_an_add_target_would_stop_stops_before_the_first_pass(monkeypatch):
+    # the m-step target's top 2m amplitudes cover every k-step target's top 2k
+    sweep = dynamics._sweep
+    calls = []
+    monkeypatch.setattr(dynamics, "_sweep", lambda *args: calls.append(1) or sweep(*args))
+    with pytest.raises(TruncationTooSmall, match="largest of the top 40 amplitudes"):
+        run_protocol(make_coherent(3, 40), 20, Mode.ADD)
+    assert calls == []

@@ -1,5 +1,6 @@
 """Config parsing, experiment runner, emitters, determinism."""
 
+import dataclasses
 import json
 import math
 import tempfile
@@ -14,8 +15,10 @@ from tpjc import (
     DEFAULT_TOL,
     AllMassRemoved,
     ConfigInvalid,
+    ExperimentConfig,
     IoFailure,
     Mode,
+    TruncationTooSmall,
     approx_error_table,
     load_config,
     load_result,
@@ -23,15 +26,13 @@ from tpjc import (
     mandel_q,
     mandel_q_coherent_predict,
     oracle_check,
-    run,
     run_experiment,
     run_protocol,
     subtract_photons_ideal,
 )
 from tpjc.cli import main
-from tpjc.dynamics import WINDOW_MASS_TOL
+from tpjc.dynamics import WINDOW_MASS_TOL, first_level_bound, window_start
 from tpjc.experiment import (
-    _WINDOW_SIGMAS,
     MEMORY_BUDGET,
     emit_distribution_csv,
     emit_fidelity_csv,
@@ -57,13 +58,29 @@ def test_parse_minimal_config():
     assert config.alpha == 5.0 + 0.0j
     assert config.mode is Mode.ADD
     assert config.m == 50
-    assert config.resolved_dim() == config.minimum_dim() == math.ceil(25 + 50 + 100 + 24)
+    assert config.dim == math.ceil(25 + 50 + 100 + 24)
 
 
 def test_parse_alpha_pair():
     config = parse_config({"alpha": [3.0, 4.0], "mode": "subtract", "m": 1})
     assert config.alpha == 3.0 + 4.0j
-    assert config.minimum_dim() == math.ceil(25 + 50 + 24)
+    assert config.dim == math.ceil(25 + 50 + 24)
+
+
+def test_config_holds_only_the_run():
+    assert [f.name for f in dataclasses.fields(ExperimentConfig)] == ["alpha", "mode", "m", "dim"]
+    with pytest.raises(TypeError):
+        ExperimentConfig(alpha=5, mode=Mode.ADD, m=1, dim=99, tolerances=DEFAULT_TOL)
+    config = parse_config({"alpha": 5.0, "mode": "add", "m": 1, "dim": 120})
+    assert config.tolerances is DEFAULT_TOL
+    assert config.resolved_dim() == config.dim == 120
+
+
+def test_run_gates_the_coherent_build_at_default_tol(tmp_path):
+    # dim 30 loses 18% of |5>'s mass; no config object can loosen the guard
+    config = ExperimentConfig(alpha=5, mode=Mode.SUBTRACT, m=1, dim=30)
+    with pytest.raises(TruncationTooSmall):
+        run_experiment(config, tmp_path / "out")
 
 
 def test_config_rejects_undersized_dim():
@@ -164,25 +181,16 @@ _configs = st.builds(
 )
 
 
-def _budget_lo(config):
-    # the Poisson Chernoff bound |alpha|^2 - _WINDOW_SIGMAS |alpha| (minus 2m
-    # for subtraction) on where the protocol's window starts
-    r = abs(config.alpha)
-    shift = 2 * config.m if config.mode is Mode.SUBTRACT else 0
-    return max(0, math.floor(r * r - _WINDOW_SIGMAS * r) - shift)
-
-
 @pytest.mark.parametrize("m", [10, 50])
 @pytest.mark.parametrize("mode", ["add", "subtract"])
 @pytest.mark.parametrize("alpha", [12.0, 45.0, [100 * math.cos(0.7), 100 * math.sin(0.7)], 300.0])
 def test_budget_window_bound_is_below_protocol_window(alpha, mode, m):
     # the budget never assumes a narrower window than run_protocol simulates
     config = parse_config({"alpha": alpha, "mode": mode, "m": m})
-    p0 = np.abs(make_coherent(config.alpha, config.resolved_dim()).amps) ** 2
-    lo = int(np.argmax(np.cumsum(p0) > WINDOW_MASS_TOL))
-    if config.mode is Mode.SUBTRACT:
-        lo = max(0, lo - 2 * m)
-    assert _budget_lo(config) <= lo
+    p0 = np.abs(make_coherent(config.alpha, config.dim).amps) ** 2
+    first = int(np.argmax(np.cumsum(p0) > WINDOW_MASS_TOL))
+    budget_lo = window_start(first_level_bound(config.alpha), m, config.mode)
+    assert budget_lo <= window_start(first, m, config.mode)
 
 
 def test_no_config_at_the_sizing_policy_trips_a_guard():
@@ -192,7 +200,7 @@ def test_no_config_at_the_sizing_policy_trips_a_guard():
         for mode in ("add", "subtract"):
             for m in (0, 1, 7, 50):
                 config = parse_config({"alpha": alpha, "mode": mode, "m": m})
-                psi0 = make_coherent(config.alpha, config.resolved_dim())
+                psi0 = make_coherent(config.alpha, config.dim)
                 try:
                     run_protocol(psi0, config.m, config.mode)
                 except AllMassRemoved:
@@ -203,17 +211,18 @@ def test_no_config_at_the_sizing_policy_trips_a_guard():
 @given(_configs)
 @example({"alpha": 1e200, "mode": "add", "m": 1})
 @example({"alpha": 1.0, "mode": "add", "m": 1, "dim": 10**30})
+@example({"alpha": 1.0, "mode": "add", "m": 1, "dim": 10**200})
 def test_parse_config_returns_runnable_config_or_rejects(data):
     try:
         config = parse_config(data)
     except ConfigInvalid:
         return
-    dim = config.resolved_dim()
-    assert isinstance(dim, int) and 1 <= dim <= np.iinfo(np.intp).max
+    dim = config.dim
+    assert type(dim) is int and 1 <= dim <= np.iinfo(np.intp).max
     assert math.isfinite(abs(config.alpha))
     # the protocol's float64 window matrix plus the coherent build's arrays
     # fit the budget
-    width = dim - _budget_lo(config)
+    width = dim - window_start(first_level_bound(config.alpha), config.m, config.mode)
     assert width * width * 8 + dim * 6 * 16 <= MEMORY_BUDGET
     assert config.tolerances is DEFAULT_TOL
 
@@ -258,7 +267,7 @@ def test_cli_run_exits_with_a_documented_code(raw):
 def test_run_small_experiment(tmp_path):
     config_path = write_config(tmp_path)
     out_dir = tmp_path / "out"
-    result, written = run(config_path, out_dir)
+    result, written = run_experiment(load_config(config_path), out_dir)
     assert [p.name for p in written] == [
         "result.json",
         "fock_dist.csv",
@@ -278,7 +287,7 @@ def test_run_predicts_subtract_q_of_the_ideal_state(tmp_path):
     # shift form leaves out, so it would report 4/5 instead
     config = parse_config({"alpha": 3.0, "mode": "subtract", "m": 2})
     result, _ = run_experiment(config, tmp_path / "out")
-    psi0 = make_coherent(3.0, config.resolved_dim())
+    psi0 = make_coherent(3.0, config.dim)
     expected = mandel_q(subtract_photons_ideal(psi0, 2)[0])
     assert result.mandel_q_predicted == expected
     assert abs(expected - mandel_q_coherent_predict(3.0, 2, Mode.SUBTRACT)) > 1e-3
@@ -286,7 +295,7 @@ def test_run_predicts_subtract_q_of_the_ideal_state(tmp_path):
 
 def test_run_m0_distribution_unchanged(tmp_path):
     config_path = write_config(tmp_path, m=0)
-    result, _ = run(config_path, tmp_path / "out")
+    result, _ = run_experiment(load_config(config_path), tmp_path / "out")
     assert result.final_dist == result.initial_dist
 
 
@@ -294,8 +303,8 @@ def test_run_is_deterministic(tmp_path):
     config_path = write_config(tmp_path)
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"
-    _, written_a = run(config_path, out_a)
-    _, written_b = run(config_path, out_b)
+    _, written_a = run_experiment(load_config(config_path), out_a)
+    _, written_b = run_experiment(load_config(config_path), out_b)
     assert [p.name for p in written_a] == [p.name for p in written_b]
     for pa, pb in zip(written_a, written_b):
         assert pa.read_bytes() == pb.read_bytes()
@@ -304,7 +313,7 @@ def test_run_is_deterministic(tmp_path):
 def test_run_propagates_warnings_to_result_file(tmp_path):
     config_path = write_config(tmp_path, mode="subtract", m=2)
     out_dir = tmp_path / "out"
-    result, _ = run(config_path, out_dir)
+    result, _ = run_experiment(load_config(config_path), out_dir)
     assert any("low-component mass" in w for w in result.warnings)
     on_disk = json.loads((out_dir / "result.json").read_text())
     assert on_disk["warnings"] == result.warnings
@@ -316,7 +325,7 @@ def test_run_propagates_warnings_to_result_file(tmp_path):
 
 def small_result(tmp_path, m=2):
     config_path = write_config(tmp_path, m=m)
-    result, _ = run(config_path, tmp_path / "out")
+    result, _ = run_experiment(load_config(config_path), tmp_path / "out")
     return result
 
 
