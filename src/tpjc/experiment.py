@@ -308,12 +308,6 @@ def emit_oracle_report(report: OracleReport, path: str | Path) -> None:
 
 def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> tuple[ProtocolResult, list[Path]]:
     """Execute the configured protocol and write its five files."""
-    out = Path(out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise IoFailure(f"cannot create output directory {out}: {exc}") from exc
-
     psi0 = make_coherent(config.alpha, config.dim)
     result = run_protocol(psi0, config.m, config.mode)
     # Q of the ideal m-step state. The closed form is exact for addition, a
@@ -328,6 +322,12 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> tuple[Proto
         q_predicted = None
     result = replace(result, mandel_q_predicted=q_predicted)
 
+    # only now, so a run that fails leaves no directory behind
+    out = Path(out_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise IoFailure(f"cannot create output directory {out}: {exc}") from exc
     names = ("result.json", "fock_dist.csv", "fidelity_series.csv", "mandel_q.json", "mean_photon.json")
     written = [out / name for name in names]
     result_json, dist_csv, fidelity_csv, q_json, mean_json = written

@@ -267,6 +267,21 @@ def test_run_surfaces_truncation_error(tmp_path, capsys, monkeypatch):
     )
 
 
+@pytest.mark.parametrize("code", [1, 3])
+def test_run_that_fails_creates_no_output_directory(tmp_path, capsys, monkeypatch, code):
+    # exit 1: the subtraction removes all the mass; exit 3: the coherent build
+    # trips its guard, by the route test_run_surfaces_truncation_error takes
+    if code == 1:
+        config = write_config(tmp_path, alpha=[0, 3], mode="subtract", m=40)
+    else:
+        monkeypatch.setattr("tpjc.experiment.default_dim", lambda alpha, added_photons=0: 10)
+        config = write_config(tmp_path, alpha=5, m=1)
+    rc = main(["run", str(config), "--out", str(tmp_path / "out" / "run")])
+    assert rc == code
+    assert capsys.readouterr().err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_oracle_check_command(capsys):
     rc = main(["oracle-check", "--dim", "16", "--trials", "3", "--seed", "7"])
     captured = capsys.readouterr()

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from tpjc import (
+    DEFAULT_TOL,
     DensityMatrix,
     DiagonalizationFailure,
     DimensionMismatch,
@@ -491,51 +492,75 @@ def test_coherent_states_run_real_up_to_the_memory_budget():
         assert dynamics._has_phase_ramp(psi.amps)
 
 
-def test_subtract_window_guards_bottom_mass():
-    # a window starting at level 5 with all its mass on its bottom level:
-    # V^2 would push it below the window
-    lo, dim = 5, 13
-    padded = np.zeros((dim - lo + 4, dim - lo + 4), dtype=complex)
-    buf = padded[2:-2, 2:-2]
-    buf[0, 0] = 1.0
-    u = np.zeros(dim - lo)
-    c, s = dynamics._pass_diagonals(lo, dim, Mode.SUBTRACT)
-    with pytest.raises(TruncationTooSmall, match="bottom-two"):
-        dynamics._sweep(padded, c, np.pad(s, 2), u, Mode.SUBTRACT, lo)
-    # at lo = 0 the same mass sits on the dark level |0> and stays put
-    c, s = dynamics._pass_diagonals(0, dim - lo, Mode.SUBTRACT)
-    dynamics._sweep(padded, c, np.pad(s, 2), u, Mode.SUBTRACT)
-    assert buf[0, 0] == 1.0
+def test_subtract_sweep_keeps_mass_on_the_dark_vacuum():
+    # at lo = 0 all the mass on the bottom level |0>, where S' vanishes, stays put
+    dim = 8
+    padded = np.zeros((dim + 4, dim + 4), dtype=complex)
+    padded[2, 2] = 1.0
+    c, s = dynamics._pass_diagonals(0, dim, Mode.SUBTRACT)
+    dynamics._sweep(padded, c, np.pad(s, 2), np.zeros(dim), Mode.SUBTRACT)
+    assert padded[2, 2] == 1.0
 
 
-def test_sweep_guards_top_mass():
-    # all the mass on the top level, which V^dag^2 would push out of the space
-    dim = 13
-    padded = np.zeros((dim + 4, dim + 4))
-    padded[dim + 1, dim + 1] = 1.0
-    c, s = dynamics._pass_diagonals(0, dim, Mode.ADD)
-    with pytest.raises(TruncationTooSmall, match="top-two"):
-        dynamics._sweep(padded, c, np.pad(s, 2), np.zeros(dim), Mode.ADD)
+def _smallest_add_dim(alpha, m):
+    """The smallest dim at which add_photons_ideal(make_coherent(alpha, dim), m) passes."""
+    dim = default_dim(alpha, 2 * m)
+    while True:
+        try:
+            add_photons_ideal(make_coherent(alpha, dim - 1), m)
+        except TruncationTooSmall:
+            return dim
+        dim -= 1
+
+
+def _edge_mass_before_each_pass(psi, m, mode):
+    """lo and, before each pass k + 1 <= m, the mass on the window edge that
+    pass pushes out (ADD: the top two levels; SUBTRACT: the bottom two),
+    from the diagonal chain p'_i = c_i^2 p_i + s_j^2 p_j, j = i -+ 2."""
+    p0 = np.abs(psi.amps) ** 2
+    lo = dynamics.window_start(int(np.argmax(np.cumsum(p0) > dynamics.WINDOW_MASS_TOL)), m, mode)
+    c, s = dynamics._pass_diagonals(lo, psi.dim, mode)
+    p, edges = p0[lo:], []
+    for _ in range(m):
+        edges.append(p[-2:].sum() if mode is Mode.ADD else p[:2].sum())
+        moved = s * s * p
+        p = c * c * p
+        if mode is Mode.ADD:
+            p[2:] += moved[:-2]
+        else:
+            p[:-2] += moved[2:]
+    return lo, edges
+
+
+@pytest.mark.parametrize(
+    "alpha, m, mode, windowed",
+    [
+        (5.0, 50, Mode.ADD, False),
+        (20.0 * cmath.exp(0.7j), 50, Mode.ADD, True),
+        (20.0 * cmath.exp(0.7j), 50, Mode.SUBTRACT, True),
+        (45.0, 300, Mode.SUBTRACT, True),
+    ],
+    ids=["add-5", "add-20e^0.7i", "subtract-20e^0.7i", "subtract-45"],
+)
+def test_pre_pass_guards_bound_every_edge_mass_a_pass_pushes_out(alpha, m, mode, windowed):
+    # why _sweep carries no guard: once the m-step target is built, the top
+    # two levels (add, at the smallest dim add_photons_ideal admits) hold at
+    # most 2m tail_tol^2 before every pass, and the bottom two of a window
+    # with lo > 0 (subtract, at the policy dim) at most WINDOW_MASS_TOL
+    dim = _smallest_add_dim(alpha, m) if mode is Mode.ADD else default_dim(alpha)
+    psi = make_coherent(alpha, dim)
+    lo, edges = _edge_mass_before_each_pass(psi, m, mode)
+    assert (lo > 0) is windowed
+    bound = 2 * m * DEFAULT_TOL.tail_tol**2 if mode is Mode.ADD else dynamics.WINDOW_MASS_TOL
+    assert max(edges) <= bound
+    if mode is Mode.ADD:
+        assert len(run_protocol(psi, m, mode).fidelity_series) == m + 1
 
 
 def _trip_evolve_top_two():
     state = np.zeros(32, dtype=complex)
     state[15] = 1.0
     evolve_closed_form(state, 1.0)
-
-
-def _trip_sweep_top_two():
-    padded = np.zeros((17, 17))
-    padded[14, 14] = 1.0
-    c, s = dynamics._pass_diagonals(0, 13, Mode.ADD)
-    dynamics._sweep(padded, c, np.pad(s, 2), np.zeros(13), Mode.ADD)
-
-
-def _trip_sweep_bottom_two():
-    padded = np.zeros((12, 12))
-    padded[2, 2] = 1.0
-    c, s = dynamics._pass_diagonals(5, 13, Mode.SUBTRACT)
-    dynamics._sweep(padded, c, np.pad(s, 2), np.zeros(8), Mode.SUBTRACT, 5)
 
 
 @pytest.mark.parametrize(
@@ -549,10 +574,8 @@ def _trip_sweep_bottom_two():
         ),
         (_trip_evolve_top_two, "largest top-two excited amplitude", "enlarge dim=16"),
         (lambda: pass_add(pure_density(make_fock(63, 64))), "top-two diagonal mass", "enlarge dim=64"),
-        (_trip_sweep_top_two, "top-two diagonal mass", "enlarge dim=13"),
-        (_trip_sweep_bottom_two, "bottom-two diagonal mass", "the window starts at lo=5"),
     ],
-    ids=["coherent", "add_ideal", "evolve", "pass_add", "sweep_top", "sweep_bottom"],
+    ids=["coherent", "add_ideal", "evolve", "pass_add"],
 )
 def test_truncation_guards_share_one_message_shape(trip, what, fix):
     with pytest.raises(TruncationTooSmall) as info:
