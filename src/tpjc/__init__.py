@@ -45,6 +45,7 @@ from .dynamics import (
     build_hamiltonian,
     evolve_closed_form,
     evolve_oracle,
+    hamiltonian_eig,
     pass_add,
     pass_subtract,
     rabi_angle,

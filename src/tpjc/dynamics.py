@@ -9,9 +9,10 @@ each pair (|n, e>, |n+2, g>) as an independent 2x2 rotation and leaves
 take the angle gt and the Hamiltonian is in units of g.
 
 The closed-form propagator is applied as index shifts and diagonal
-scalings; :func:`evolve_oracle` re-derives the same evolution by dense
-Hermitian eigendecomposition of the Hamiltonian and exists purely to
-cross-check the closed form.
+scalings; :func:`evolve_oracle` re-derives the same evolution from a dense
+Hermitian eigendecomposition of the Hamiltonian, :func:`hamiltonian_eig`,
+made once per N and reused for every state and angle; it exists purely
+to cross-check the closed form.
 
 One protocol pass evolves for gt = pi and re-prepares the qubit, which
 reduces to the exact field-only maps :func:`pass_add` / :func:`pass_subtract`.
@@ -108,18 +109,29 @@ def build_hamiltonian(dim: int) -> np.ndarray:
     return h
 
 
-def evolve_oracle(state: np.ndarray, gt: float) -> np.ndarray:
-    """exp(-i H gt) on the 2N joint vector, H in units of g, via dense
-    Hermitian eigendecomposition; returns a fresh array.
-
-    Independent of the closed form; used to certify it.
-    """
-    dim = _joint_dim(state)
-    h = build_hamiltonian(dim)
+def hamiltonian_eig(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvectors of :func:`build_hamiltonian` (dim), by
+    dense Hermitian eigendecomposition: the input of :func:`evolve_oracle`."""
     try:
-        evals, evecs = np.linalg.eigh(h)
+        return np.linalg.eigh(build_hamiltonian(dim))
     except np.linalg.LinAlgError as exc:
         raise DiagonalizationFailure(f"eigh failed on the {2 * dim}x{2 * dim} Hamiltonian") from exc
+
+
+def evolve_oracle(state: np.ndarray, gt: float, eig: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """exp(-i H gt) on the 2N joint vector, H in units of g, from its
+    eigendecomposition ``eig = hamiltonian_eig(N)``; returns a fresh array.
+
+    Independent of the closed form; used to certify it. One decomposition
+    serves every state and angle at its N.
+    """
+    dim = _joint_dim(state)
+    evals, evecs = eig
+    if evecs.shape != (2 * dim, 2 * dim):
+        raise DimensionMismatch(
+            f"the eigendecomposition is of a {evecs.shape[0]}x{evecs.shape[0]} Hamiltonian, "
+            f"the state has 2N = {2 * dim} amplitudes"
+        )
     return evecs @ (np.exp(-1j * evals * gt) * (evecs.conj().T @ state))
 
 

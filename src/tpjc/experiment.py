@@ -26,6 +26,7 @@ from .dynamics import (
     evolve_closed_form,
     evolve_oracle,
     first_level_bound,
+    hamiltonian_eig,
     run_protocol,
     window_start,
 )
@@ -274,19 +275,23 @@ def oracle_check(
 ) -> OracleReport:
     """Evolve seeded random joint states with both propagators for each
     angle gt in ``ORACLE_CHECK_TIMES`` and report the worst vector-norm
-    deviation."""
+    deviation. The Hamiltonian is decomposed once, for every comparison."""
+    for name, value in (("dim", dim), ("trials", trials), ("seed", seed)):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ConfigInvalid(f"oracle check {name} must be an integer, got {value!r}")
     if dim < 3 or dim > 128:
         raise ConfigInvalid(f"oracle check dim must be in [3, 128], got {dim}")
     if trials < 0:
         raise ConfigInvalid(f"trials must be >= 0, got {trials}")
     if seed < 0:
         raise ConfigInvalid(f"seed must be >= 0, got {seed}")
+    eig = hamiltonian_eig(dim)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):
         state = _random_joint_state(rng, dim)
         for t in ORACLE_CHECK_TIMES:
-            delta = evolve_closed_form(state, t) - evolve_oracle(state, t)
+            delta = evolve_closed_form(state, t) - evolve_oracle(state, t, eig)
             worst = max(worst, float(np.linalg.norm(delta)))
     return OracleReport(
         dim=dim,

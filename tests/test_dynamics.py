@@ -24,6 +24,7 @@ from tpjc import (
     evolve_oracle,
     fidelity,
     fock_distribution,
+    hamiltonian_eig,
     ideal_state,
     low_component_mass,
     make_coherent,
@@ -164,9 +165,10 @@ def test_hamiltonian_needs_three_levels():
 def test_oracle_t0_identity_and_unitarity():
     rng = np.random.default_rng(6)
     state = random_joint_state(rng, 20)
-    out0 = evolve_oracle(state, 0.0)
+    eig = hamiltonian_eig(20)
+    out0 = evolve_oracle(state, 0.0, eig)
     assert np.linalg.norm(out0 - state) < 1e-12
-    out = evolve_oracle(state, math.pi)
+    out = evolve_oracle(state, math.pi, eig)
     assert abs(np.linalg.norm(out) - 1.0) < 1e-10
 
 
@@ -176,18 +178,24 @@ def _eigh_fails(h):
 
 def test_oracle_reports_eigh_failure(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", _eigh_fails)
-    state = random_joint_state(np.random.default_rng(6), 8)
     with pytest.raises(DiagonalizationFailure, match=r"^eigh failed on the 16x16 Hamiltonian$"):
-        evolve_oracle(state, math.pi)
+        hamiltonian_eig(8)
+
+
+def test_oracle_rejects_an_eigendecomposition_of_another_dim():
+    state = random_joint_state(np.random.default_rng(6), 8)
+    with pytest.raises(DimensionMismatch, match=r"18x18 Hamiltonian, the state has 2N = 16"):
+        evolve_oracle(state, math.pi, hamiltonian_eig(9))
 
 
 def test_closed_form_matches_oracle():
     rng = np.random.default_rng(8)
+    eig = hamiltonian_eig(48)
     worst = 0.0
     for _ in range(20):
         state = random_joint_state(rng, 48)
         for gt in (0.3, math.pi, 7.1):
-            delta = evolve_closed_form(state, gt) - evolve_oracle(state, gt)
+            delta = evolve_closed_form(state, gt) - evolve_oracle(state, gt, eig)
             worst = max(worst, np.linalg.norm(delta))
     assert worst < 1e-8
 
@@ -197,10 +205,15 @@ def test_closed_form_matches_oracle_g_not_one():
     state = random_joint_state(rng, 32)
     # the angle of coupling g = 0.37 over t = 5
     gt = 0.37 * 5.0
-    assert np.linalg.norm(evolve_closed_form(state, gt) - evolve_oracle(state, gt)) < 1e-10
+    delta = evolve_closed_form(state, gt) - evolve_oracle(state, gt, hamiltonian_eig(32))
+    assert np.linalg.norm(delta) < 1e-10
 
 
-@pytest.mark.parametrize("propagator", [evolve_closed_form, evolve_oracle])
+@pytest.mark.parametrize(
+    "propagator",
+    [evolve_closed_form, lambda state, gt: evolve_oracle(state, gt, hamiltonian_eig(8))],
+    ids=["evolve_closed_form", "evolve_oracle"],
+)
 def test_propagators_check_shape_and_keep_their_input(propagator):
     # a joint state is one 1-d array of 2N amplitudes
     for shape in [(4, 4), 0, 7]:

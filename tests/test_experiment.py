@@ -20,6 +20,8 @@ from tpjc import (
     Mode,
     TruncationTooSmall,
     approx_error_table,
+    build_hamiltonian,
+    evolve_closed_form,
     load_config,
     load_result,
     make_coherent,
@@ -34,6 +36,8 @@ from tpjc.cli import main
 from tpjc.dynamics import WINDOW_MASS_TOL, first_level_bound, window_start
 from tpjc.experiment import (
     MEMORY_BUDGET,
+    ORACLE_CHECK_TIMES,
+    _random_joint_state,
     emit_distribution_csv,
     emit_fidelity_csv,
     emit_json,
@@ -443,6 +447,42 @@ def test_oracle_check_deterministic():
     a = oracle_check(dim=16, trials=4, seed=9)
     b = oracle_check(dim=16, trials=4, seed=9)
     assert a == b
+
+
+def test_oracle_check_decomposes_the_hamiltonian_once(monkeypatch):
+    dim, trials, seed = 16, 4, 9
+    # the reference decomposes H anew for every comparison
+    rng = np.random.default_rng(seed)
+    reference = 0.0
+    for _ in range(trials):
+        state = _random_joint_state(rng, dim)
+        for t in ORACLE_CHECK_TIMES:
+            evals, evecs = np.linalg.eigh(build_hamiltonian(dim))
+            oracle = evecs @ (np.exp(-1j * evals * t) * (evecs.conj().T @ state))
+            reference = max(reference, float(np.linalg.norm(evolve_closed_form(state, t) - oracle)))
+
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(h):
+        calls.append(h.shape)
+        return eigh(h)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    report = oracle_check(dim=dim, trials=trials, seed=seed)
+    assert calls == [(2 * dim, 2 * dim)]
+    assert report.max_deviation == reference
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("dim", 16.5), ("trials", 2.5), ("seed", 1.5), ("dim", True), ("trials", True), ("seed", True)],
+)
+def test_oracle_check_rejects_a_non_integer_argument(field, value):
+    # a bool is an int to Python, but trials=True would run one trial
+    args = {"dim": 16, "trials": 2, "seed": 1, field: value}
+    with pytest.raises(ConfigInvalid, match=rf"^oracle check {field} must be an integer, got {value!r}$"):
+        oracle_check(**args)
 
 
 def test_oracle_check_validates_dim():
