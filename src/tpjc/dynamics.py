@@ -293,15 +293,14 @@ def run_protocol(psi0: FockVector, m: int, mode: Mode) -> ProtocolResult:
     The matrix covers only the Fock window [lo, N) of :func:`window_start`,
     from the first index where psi0's cumulative mass exceeds
     ``WINDOW_MASS_TOL``. The m-step target's guards bound every k-step
-    target's and every edge mass a pass pushes out, so it is built first, the
-    passes carry no guard, and a run that cannot finish stops before its
-    first pass. The final distribution is re-embedded on 0 .. N-1.
-    If its mean photon number is 0, Mandel Q is undefined:
-    ``mandel_q_final`` is None and a warning says so.
+    target's and every edge mass a pass pushes out, so it is built before
+    any W x W array, the passes carry no guard, and a run that cannot
+    finish stops before its first pass. That state is then pass m's target
+    (F(0)'s at m = 0), so a run builds m + 1 ladder states. The final
+    distribution is re-embedded on 0 .. N-1. If its mean photon number is
+    0, Mandel Q is undefined: ``mandel_q_final`` is None and a warning
+    says so.
     """
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    ideal_state(psi0, m, mode)  # the run's one truncation decision
     warnings: list[str] = []
     if mode is Mode.SUBTRACT:
         base_low_mass = low_component_mass(psi0, m)
@@ -321,7 +320,8 @@ def run_protocol(psi0: FockVector, m: int, mode: Mode) -> ProtocolResult:
         amps = ideal_state(psi0, k, mode).amps[lo:]
         return sign**k * np.abs(amps) if real else amps
 
-    w = target(0)
+    last = target(m)  # the run's one truncation decision, before any W x W array
+    w = target(0) if m else last
     buf = np.zeros((w.size + 4, w.size + 4), dtype=w.dtype)
     rho = np.outer(w, w.conj(), out=buf[2:-2, 2:-2])
     # |c|^2 as initial_dist has it: the real path's |c| |c| can be an ulp off
@@ -330,7 +330,7 @@ def run_protocol(psi0: FockVector, m: int, mode: Mode) -> ProtocolResult:
     s_buf = np.pad(s, 2)
     series: list[tuple[int, float]] = [(0, _unit_clamp(np.vdot(w, rho @ w).real))]
     for k in range(1, m + 1):
-        series.append((k, _unit_clamp(_sweep(buf, c, s_buf, target(k), mode))))
+        series.append((k, _unit_clamp(_sweep(buf, c, s_buf, target(k) if k < m else last, mode))))
 
     final_dist = np.zeros(psi0.dim)
     final_dist[lo:] = np.real(np.diag(rho))

@@ -223,10 +223,10 @@ def approx_error_table(max_j: int) -> list[tuple[int, float, float]]:
     """(j, add-branch error, subtract-branch error) for j = 0..max_j.
 
     The subtract branch has a zero reference value below j = 2; those
-    entries are NaN.
+    entries are NaN. max_j is bounded at 10^6: the rows take ~430 B each.
     """
-    if max_j < 0:
-        raise ConfigInvalid(f"max_j must be >= 0, got {max_j}")
+    if max_j < 0 or max_j > 10**6:
+        raise ConfigInvalid(f"max_j must be in [0, 1000000], got {max_j}")
     rows = []
     for j in range(max_j + 1):
         add_err = approx_error(j, Mode.ADD)

@@ -34,9 +34,8 @@ class Tolerances:
 
 DEFAULT_TOL = Tolerances()
 
-# Low-component mass S below which photon subtraction skips its
-# (1 - S)^(-1/2) renormalization. The skipped factor is at most 1 + 5e-13,
-# about 2250 ulps of 1: far below the default tolerances, not below rounding.
+# The threshold of run_protocol's low-mass warning: the low-component mass S
+# of a subtraction run's initial state above which the run says so.
 LOW_MASS_TOL = 1e-12
 
 
@@ -153,7 +152,8 @@ def make_coherent(alpha: complex, dim: int, tol: Tolerances = DEFAULT_TOL) -> Fo
     log_p_dim = -r * r + 2.0 * dim * math.log(r) - math.lgamma(dim + 1.0)
     bound = math.exp(log_p_dim) / (1.0 - q) if q < 1.0 else math.inf
     tail = min(bound, max(0.0, 1.0 - float(np.sum(mag * mag))))
-    suggested = default_dim(alpha)
+    # past |alpha| ~ 1.3e154 the policy overflows, and the message names no dim
+    suggested = default_dim(alpha) if math.isfinite(r * r) else dim
     if suggested > dim:
         fix = f"enlarge dim={dim}; suggested minimum dim is {suggested}"
     else:

@@ -8,8 +8,8 @@ The states are built from the bare (Susskind-Glogower) ladder operators:
 
 Addition is a pure index shift with phases, so it preserves the shape of
 the Fock distribution and raises the mean photon number by exactly 2m.
-Subtraction removes the lowest 2m components (mass S) and renormalizes;
-when S is negligible the renormalization is skipped.
+Subtraction removes the lowest 2m components (mass S) and always
+renormalizes by (1 - S)^(-1/2).
 
 Added/subtracted coherent states are eigenstates of the nonlinear
 operators implemented in :func:`apply_A`, with eigenvalue (-1)^m * alpha:
@@ -29,7 +29,6 @@ import numpy as np
 from .errors import AllMassRemoved, ZeroMeanPhoton
 from .fock import (
     DEFAULT_TOL,
-    LOW_MASS_TOL,
     DensityMatrix,
     FockVector,
     _check_edge,
@@ -89,19 +88,16 @@ def add_photons_ideal(psi: FockVector, m: int) -> FockVector:
 def subtract_photons_ideal(psi: FockVector, m: int) -> tuple[FockVector, float]:
     """Apply (1 - S)^(-1/2) [i V^2 (-1)^n]^m; returns (state, S).
 
-    The map puts i^m (-1)^(j m) c_{j+2m} at index j. S is the low-component
-    mass it removes. When S is below ``LOW_MASS_TOL`` the renormalizing
-    prefactor is skipped; it then differs from 1 by less than 5e-13, about
-    2250 ulps: far below the default tolerances, not below rounding.
+    The map puts i^m (-1)^(j m) c_{j+2m} at index j and divides by
+    sqrt(1 - S), S being the low-component mass it removes. Below
+    S ~ 1.1e-16, 1 - S rounds to 1 and the division is exact.
     """
     if m < 0:
         raise ValueError("m must be >= 0")
     low_mass = _removed_mass(psi, m)
     kept = max(0, psi.dim - 2 * m)
     out = np.zeros(psi.dim, dtype=complex)
-    out[:kept] = _ladder_phases(kept, m) * psi.amps[psi.dim - kept :]
-    if low_mass > LOW_MASS_TOL:
-        out /= np.sqrt(1.0 - low_mass)
+    out[:kept] = _ladder_phases(kept, m) * psi.amps[psi.dim - kept :] / np.sqrt(1.0 - low_mass)
     return FockVector(out), low_mass
 
 

@@ -363,6 +363,15 @@ def test_approx_table_stdout(capsys):
     assert "nan" in lines[1]
 
 
+@pytest.mark.parametrize("max_j", ["-1", "1000001"])
+def test_approx_table_rejects_max_j_out_of_range(capsys, max_j):
+    assert main(["approx-table", "--max-j", max_j]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "max_j must be in [0, 1000000]" in captured.err
+
+
 def test_approx_table_file_deterministic(tmp_path, capsys):
     path_a = tmp_path / "a.csv"
     path_b = tmp_path / "b.csv"
@@ -402,6 +411,9 @@ def test_shipped_configs_are_valid():
 # files had before ("-0.8", not "-0.80000000000000004"; "1.0", not "1"), so
 # the digests changed with no value; add_alpha5's mean_photon.json and
 # subtract_alpha12's mandel_q.json needed all 17 digits and kept their bytes.
+# subtract_alpha12's targets are renormalized by (1 - S)^(-1/2) at every S,
+# where they once skipped it below S = 1e-12; that raised F(29)..F(34) by
+# 4.4e-16 .. 6.0e-13 and changed its result.json and fidelity_series.csv.
 SHIPPED_OUTPUT_SHA256 = {
     "add_alpha5.json": {
         "result.json": "253233c0a939356c4ee18a673a1d1d8b39931f61a775c91057121db90e6f5528",
@@ -411,9 +423,9 @@ SHIPPED_OUTPUT_SHA256 = {
         "mean_photon.json": "6b15512fe900b92abfd827905160742be79bf03744159162433f5031111bd41b",
     },
     "subtract_alpha12.json": {
-        "result.json": "e3d14ff44fd5ebacdb5c87cffb05c202db2c4cf393d0a186706de6e49cd4ff67",
+        "result.json": "0bb9ce51a41d6852c091566540098f3381a478ee0946b07a72d87a19c189fb07",
         "fock_dist.csv": "9b8921142ef2626dd0035bffbead3c2846633bff526b67c74edf5ed9eb6f6f20",
-        "fidelity_series.csv": "d8fffebc4f70f10a35ab8086e4fd1517fb9630794c373905c7fdc38884cb4dc4",
+        "fidelity_series.csv": "4451889f72cc88c258837a796fe0ec98dd35aa50911d8ce94d65bc8b25ba4b53",
         "mandel_q.json": "063a42eb6d474f686d5baf24e34a8884485675f0957313713769f732ab5aa843",
         "mean_photon.json": "c75cbbb1723efdd59df5fad242baccd8d7ac08df80ddfacaee167ecdb1e1e2c2",
     },

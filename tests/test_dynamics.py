@@ -13,7 +13,6 @@ from tpjc import (
     DiagonalizationFailure,
     DimensionMismatch,
     FockVector,
-    LOW_MASS_TOL,
     Mode,
     TruncationTooSmall,
     add_photons_ideal,
@@ -374,8 +373,8 @@ def ladder_by_operators(psi, m, mode):
     return amps
 
 
-# |3-2i|^2 = 13 puts mass above LOW_MASS_TOL below 2m for every m > 0, so
-# subtraction renormalizes; at |5+6i|^2 = 61 it stays below for m <= 7.
+# Subtraction divides by sqrt(1 - S) at every S: at |3-2i|^2 = 13 the removed
+# mass S is large for every m > 0, at |5+6i|^2 = 61 it is below 1e-12 for m <= 7.
 @pytest.mark.parametrize("alpha", [3.0 - 2.0j, 5.0 + 6.0j])
 @pytest.mark.parametrize("m", [0, 1, 2, 7])
 @pytest.mark.parametrize("mode", [Mode.ADD, Mode.SUBTRACT])
@@ -387,8 +386,7 @@ def test_closed_form_ladder_equals_operator_product(mode, m, alpha):
     else:
         out, low_mass = subtract_photons_ideal(psi, m)
         assert low_mass == low_component_mass(psi, m)
-        if low_mass > LOW_MASS_TOL:
-            expected = expected / np.sqrt(1.0 - low_mass)
+        expected = expected / np.sqrt(1.0 - low_mass)
     np.testing.assert_array_equal(out.amps, expected)
 
 
@@ -580,6 +578,8 @@ def _trip_evolve_top_two():
     "trip, what, fix",
     [
         (lambda: make_coherent(5, 10), "coherent tail mass", "enlarge dim=10; suggested minimum dim is 99"),
+        # the sizing policy overflows at |alpha|^2 = inf, so no dim is suggested
+        (lambda: make_coherent(1e200, 10), "coherent tail mass", "enlarge dim=10 or raise tail_tol"),
         (
             lambda: add_photons_ideal(make_coherent(5, 80), 10),
             "largest of the top 20 amplitudes",
@@ -588,7 +588,7 @@ def _trip_evolve_top_two():
         (_trip_evolve_top_two, "largest top-two excited amplitude", "enlarge dim=16"),
         (lambda: pass_add(pure_density(make_fock(63, 64))), "top-two diagonal mass", "enlarge dim=64"),
     ],
-    ids=["coherent", "add_ideal", "evolve", "pass_add"],
+    ids=["coherent", "coherent_1e200", "add_ideal", "evolve", "pass_add"],
 )
 def test_truncation_guards_share_one_message_shape(trip, what, fix):
     with pytest.raises(TruncationTooSmall) as info:
@@ -596,6 +596,27 @@ def test_truncation_guards_share_one_message_shape(trip, what, fix):
     value = r"\d\.\d{3}e[+-]\d\d"
     shape = rf"{re.escape(what)} {value} exceeds tail_tol=1\.000e-10; {re.escape(fix)}"
     assert re.fullmatch(shape, str(info.value)), str(info.value)
+
+
+@pytest.mark.parametrize("m", [0, 1, 7])
+@pytest.mark.parametrize("mode", [Mode.ADD, Mode.SUBTRACT])
+def test_protocol_builds_each_ladder_state_once(monkeypatch, mode, m):
+    # the pre-pass m-step state is pass m's target: k = 0..m, one build each
+    built = []
+
+    def counting(psi, k, mode):
+        built.append(k)
+        return ideal_state(psi, k, mode)
+
+    monkeypatch.setattr(dynamics, "ideal_state", counting)
+    run_protocol(make_coherent(3, 80), m, mode)
+    assert sorted(built) == list(range(m + 1))
+
+
+@pytest.mark.parametrize("mode", [Mode.ADD, Mode.SUBTRACT])
+def test_protocol_rejects_negative_m(mode):
+    with pytest.raises(ValueError, match=r"^m must be >= 0$"):
+        run_protocol(make_coherent(3, 80), -1, mode)
 
 
 def test_protocol_m0_is_identity():

@@ -117,6 +117,14 @@ def test_subtract_two_term_state_renormalizes():
     assert mean_photon(out) == 0.0
 
 
+@pytest.mark.parametrize("m", [32, 34])
+def test_subtract_renormalizes_at_tiny_removed_mass(m):
+    # S is 2.4e-14 at m = 32 and 6.0e-13 at m = 34, far above rounding, so
+    # only the division by sqrt(1 - S) normalizes the state to rounding
+    out, _ = subtract_photons_ideal(make_coherent(12, 320), m)
+    assert abs(np.vdot(out.amps, out.amps).real - 1.0) <= 4.4e-16
+
+
 def test_subtract_mean_shift_coherent_m50():
     psi = make_coherent(12, 300)
     out, low_mass = subtract_photons_ideal(psi, 50)
