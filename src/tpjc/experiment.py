@@ -83,6 +83,16 @@ def _parse_alpha(raw) -> complex:
     return complex(parts[0], parts[1])
 
 
+def _integer(name: str, value, lo: int, hi: int | None = None) -> int:
+    """``value`` if it is an int (a bool is not) in [lo, hi], else ConfigInvalid."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigInvalid(f"{name} must be an integer, got {value!r}")
+    if value < lo or (hi is not None and value > hi):
+        span = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise ConfigInvalid(f"{name} must be {span}, got {value}")
+    return value
+
+
 def parse_config(data: dict) -> ExperimentConfig:
     """Validate a decoded config object and resolve its dim; raises
     ConfigInvalid with the offending field named."""
@@ -102,9 +112,7 @@ def parse_config(data: dict) -> ExperimentConfig:
     except ValueError:
         raise ConfigInvalid(f"mode must be 'add' or 'subtract', got {data['mode']!r}") from None
 
-    m = data["m"]
-    if not isinstance(m, int) or isinstance(m, bool) or m < 0:
-        raise ConfigInvalid(f"m must be a non-negative integer, got {m!r}")
+    m = _integer("m", data["m"], 0)
 
     try:
         minimum = default_dim(alpha, 2 * m if mode is Mode.ADD else 0)
@@ -112,11 +120,8 @@ def parse_config(data: dict) -> ExperimentConfig:
         minimum = math.inf
 
     dim = data.get("dim")
-    if dim is None:
-        dim = minimum
-    elif not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
-        raise ConfigInvalid(f"dim must be a positive integer, got {dim!r}")
-    elif dim < minimum:
+    dim = minimum if dim is None else _integer("dim", dim, 1)
+    if dim < minimum:
         raise ConfigInvalid(
             f"dim={dim} below the sizing policy for alpha={alpha}, m={m}, "
             f"mode={mode.value}; computed minimum is {minimum}"
@@ -225,8 +230,7 @@ def approx_error_table(max_j: int) -> list[tuple[int, float, float]]:
     The subtract branch has a zero reference value below j = 2; those
     entries are NaN. max_j is bounded at 10^6: the rows take ~430 B each.
     """
-    if max_j < 0 or max_j > 10**6:
-        raise ConfigInvalid(f"max_j must be in [0, 1000000], got {max_j}")
+    _integer("max_j", max_j, 0, 10**6)
     rows = []
     for j in range(max_j + 1):
         add_err = approx_error(j, Mode.ADD)
@@ -276,15 +280,9 @@ def oracle_check(
     """Evolve seeded random joint states with both propagators for each
     angle gt in ``ORACLE_CHECK_TIMES`` and report the worst vector-norm
     deviation. The Hamiltonian is decomposed once, for every comparison."""
-    for name, value in (("dim", dim), ("trials", trials), ("seed", seed)):
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ConfigInvalid(f"oracle check {name} must be an integer, got {value!r}")
-    if dim < 3 or dim > 128:
-        raise ConfigInvalid(f"oracle check dim must be in [3, 128], got {dim}")
-    if trials < 0:
-        raise ConfigInvalid(f"trials must be >= 0, got {trials}")
-    if seed < 0:
-        raise ConfigInvalid(f"seed must be >= 0, got {seed}")
+    _integer("oracle check dim", dim, 3, 128)
+    _integer("oracle check trials", trials, 0)
+    _integer("oracle check seed", seed, 0)
     eig = hamiltonian_eig(dim)
     rng = np.random.default_rng(seed)
     worst = 0.0

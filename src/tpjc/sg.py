@@ -48,7 +48,10 @@ class Mode(enum.Enum):
 
 
 def low_component_mass(psi: FockVector, m: int) -> float:
-    """Probability mass sum_{k < 2m} |c_k|^2 removed by m subtraction steps."""
+    """Probability mass sum_{k < 2m} |c_k|^2 removed by m subtraction steps.
+    Every subtraction path reads it first, so it owns their m < 0 ValueError."""
+    if m < 0:
+        raise ValueError("m must be >= 0")
     k = min(2 * m, psi.dim)
     return float(np.sum(np.abs(psi.amps[:k]) ** 2))
 
@@ -92,8 +95,6 @@ def subtract_photons_ideal(psi: FockVector, m: int) -> tuple[FockVector, float]:
     sqrt(1 - S), S being the low-component mass it removes. Below
     S ~ 1.1e-16, 1 - S rounds to 1 and the division is exact.
     """
-    if m < 0:
-        raise ValueError("m must be >= 0")
     low_mass = _removed_mass(psi, m)
     kept = max(0, psi.dim - 2 * m)
     out = np.zeros(psi.dim, dtype=complex)

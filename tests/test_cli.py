@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -441,3 +444,32 @@ def test_shipped_config_output_bytes(tmp_path, name):
         f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in sorted(out_dir.iterdir())
     }
     assert digests == SHIPPED_OUTPUT_SHA256[name]
+
+
+def _cli_process(*args):
+    """``PYTHONPATH=src python -m tpjc.cli ARGS`` from the repository root,
+    as README gives it: the module's own ``sys.exit(main())``, in a process."""
+    root = Path(__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    cmd = [sys.executable, "-m", "tpjc.cli", *args]
+    return subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_cli_module_exits_with_main_code(tmp_path):
+    out_dir = tmp_path / "out"
+    done = _cli_process("run", "configs/add_alpha5.json", "--out", str(out_dir))
+    assert done.returncode == 0, done.stderr
+    digests = {
+        f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in sorted(out_dir.iterdir())
+    }
+    assert digests == SHIPPED_OUTPUT_SHA256["add_alpha5.json"]
+
+    config = tmp_path / "no_m.json"
+    config.write_text(json.dumps({"alpha": 5.0, "mode": "add"}))
+    bad_out = tmp_path / "bad_out"
+    done = _cli_process("run", str(config), "--out", str(bad_out))
+    assert done.returncode == 2
+    assert done.stderr == "error: invalid config: missing required config field 'm'\n"
+    assert done.stdout == ""
+    assert not bad_out.exists()

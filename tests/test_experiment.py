@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -502,3 +503,33 @@ def test_approx_error_table_shape():
     assert math.isnan(rows[0][2]) and math.isnan(rows[1][2])
     assert rows[2][2] > 0
     assert rows[3][1] == pytest.approx(6.2305898749053634e-3)
+
+
+# Every count the experiment layer takes, as (name in the message, call, lo,
+# hi): one integer rule, one message shape for a non-int (a bool included)
+# and one for a value out of range.
+_COUNT_SITES = [
+    ("m", lambda v: parse_config({"alpha": 3.0, "mode": "add", "m": v}), 0, None),
+    ("dim", lambda v: parse_config({"alpha": 3.0, "mode": "add", "m": 1, "dim": v}), 1, None),
+    ("oracle check dim", lambda v: oracle_check(dim=v, trials=0, seed=1), 3, 128),
+    ("oracle check trials", lambda v: oracle_check(dim=16, trials=v, seed=1), 0, None),
+    ("oracle check seed", lambda v: oracle_check(dim=16, trials=0, seed=v), 0, None),
+    ("max_j", approx_error_table, 0, 10**6),
+]
+
+
+def _count_cases():
+    for name, call, lo, hi in _COUNT_SITES:
+        for value in (2.5, True, "3"):
+            message = f"{name} must be an integer, got {value!r}"
+            yield pytest.param(call, value, message, id=f"{name}-{value!r}")
+        span = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+        for value in (lo - 1,) if hi is None else (lo - 1, hi + 1):
+            message = f"{name} must be {span}, got {value}"
+            yield pytest.param(call, value, message, id=f"{name}-{value}")
+
+
+@pytest.mark.parametrize("call, value, message", _count_cases())
+def test_every_count_is_checked_by_one_integer_rule(call, value, message):
+    with pytest.raises(ConfigInvalid, match=f"^{re.escape(message)}$"):
+        call(value)

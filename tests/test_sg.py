@@ -175,6 +175,13 @@ def test_low_component_mass():
     assert abs(value - LOW_MASS_ALPHA12_M1) < 1e-63
 
 
+@pytest.mark.parametrize("reader", [low_component_mass, subtracted_mean_predict])
+def test_subtraction_readers_reject_negative_m(reader):
+    # low_component_mass owns the check; at m = -1, amps[:2m] is all but the top two levels
+    with pytest.raises(ValueError, match=r"^m must be >= 0$"):
+        reader(make_coherent(3, 80), -1)
+
+
 def test_ideal_state_dispatch():
     psi = make_coherent(3, 80)
     np.testing.assert_array_equal(
