@@ -43,10 +43,10 @@ ORACLE_CHECK_TIMES = (0.3, math.pi, 7.1)
 ORACLE_CHECK_BOUND = 1e-8
 APPROX_TABLE_MAX_J = 200
 
-# Largest memory a run may need: its W x W float64 window matrix plus
-# about six complex arrays over all N levels while make_coherent builds the
-# input. A fixed constant, so whether a config runs does not depend on the
-# host it runs on.
+# Largest memory a run may need, priced as W x W float64s (a conservative
+# bound on the band run's (m + 1) x W targets and 32-band blocks where the
+# budget binds) plus about six complex arrays over all N levels for
+# make_coherent. A fixed constant, so whether a config runs is host-independent.
 MEMORY_BUDGET = 2 << 30
 
 

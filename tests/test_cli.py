@@ -168,9 +168,9 @@ def test_run_that_removes_all_mass_stops_before_the_first_pass(
 ):
     # the m-step subtraction removes the most mass; the run names its m, where
     # it used to run passes until the k-step target's mass ran out
-    sweep = dynamics._sweep
+    kernel = dynamics._band_passes
     calls = []
-    monkeypatch.setattr(dynamics, "_sweep", lambda *args: calls.append(1) or sweep(*args))
+    monkeypatch.setattr(dynamics, "_band_passes", lambda *args: calls.append(1) or kernel(*args))
     config = write_config(tmp_path, alpha=alpha, mode="subtract", m=m)
     rc = main(["run", str(config), "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
@@ -407,9 +407,10 @@ def test_shipped_configs_are_valid():
 # sha256 of the files `tpjc run` writes for each shipped config. A change
 # meant to leave results alone must leave these bytes alone; a change that
 # alters them on purpose updates the digests and says why. The fidelities
-# (in fidelity_series.csv and result.json) are summed in BLAS order by the
-# protocol's sweep; subtract_alpha12's mandel_q_predicted is the Q of the
-# ideal 50-step subtracted state. Numbers are written as Python's shortest
+# (in fidelity_series.csv and result.json) are the band kernel's sums: BLAS
+# matrix-vector products per block of bands, then one sum over the blocks;
+# subtract_alpha12's mandel_q_predicted is the Q of the ideal 50-step
+# subtracted state. Numbers are written as Python's shortest
 # float repr, which reads back to the same float64 as the 17-digit form these
 # files had before ("-0.8", not "-0.80000000000000004"; "1.0", not "1"), so
 # the digests changed with no value; add_alpha5's mean_photon.json and
@@ -417,18 +418,22 @@ def test_shipped_configs_are_valid():
 # subtract_alpha12's targets are renormalized by (1 - S)^(-1/2) at every S,
 # where they once skipped it below S = 1e-12; that raised F(29)..F(34) by
 # 4.4e-16 .. 6.0e-13 and changed its result.json and fidelity_series.csv.
+# The band kernel, which replaced a row sweep of the W x W matrix, sums F in
+# another order: 29 of add_alpha5's 51 F values and 20 of subtract_alpha12's
+# moved by 1 or 2 ulp (at most 2.2e-16), so both configs' result.json and
+# fidelity_series.csv changed; every distribution, mean and Q kept its bytes.
 SHIPPED_OUTPUT_SHA256 = {
     "add_alpha5.json": {
-        "result.json": "253233c0a939356c4ee18a673a1d1d8b39931f61a775c91057121db90e6f5528",
+        "result.json": "f45a1c250b37ac193e4de0797010d83d7e677990b558f53438a4f31af9f51ae2",
         "fock_dist.csv": "4fb1b2546bca7cf4e0ca4d5e8178d5c2baed01c4868c4c902e9b81d044f08ca9",
-        "fidelity_series.csv": "7bd0f84ebc9937aa69943092e0fd2132a6f57c5c20b6541a967a71a5d2d11276",
+        "fidelity_series.csv": "526c327484ee01f79fa1decbf91637a8de1bc6db74219ec2e253e6eb8f88a857",
         "mandel_q.json": "e9435127e5e2024f68823fcd541bf3b174cf544fa657d08d74a1997b1fa056a2",
         "mean_photon.json": "6b15512fe900b92abfd827905160742be79bf03744159162433f5031111bd41b",
     },
     "subtract_alpha12.json": {
-        "result.json": "0bb9ce51a41d6852c091566540098f3381a478ee0946b07a72d87a19c189fb07",
+        "result.json": "d3652e0ae7ee098966fc2d34cfe9c43bf27b2005a3a1e70277297aa0c1fac79d",
         "fock_dist.csv": "9b8921142ef2626dd0035bffbead3c2846633bff526b67c74edf5ed9eb6f6f20",
-        "fidelity_series.csv": "4451889f72cc88c258837a796fe0ec98dd35aa50911d8ce94d65bc8b25ba4b53",
+        "fidelity_series.csv": "8558ba921f61d1f00d96efbc05eb816d89b43adcf745f2b47ba96c2468332a27",
         "mandel_q.json": "063a42eb6d474f686d5baf24e34a8884485675f0957313713769f732ab5aa843",
         "mean_photon.json": "c75cbbb1723efdd59df5fad242baccd8d7ac08df80ddfacaee167ecdb1e1e2c2",
     },

@@ -1,8 +1,10 @@
 """Propagator, dense oracle, pass maps, protocol, approximation table."""
 
 import cmath
+import functools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -405,10 +407,10 @@ def full_space_loop(psi, m, mode):
 
 @pytest.mark.parametrize("mode", [Mode.ADD, Mode.SUBTRACT])
 def test_protocol_equals_loop_over_public_passes(mode):
-    # The sweep scores each pass with a blocked matrix-vector product, which
+    # The band kernel scores each pass band by band, block by block, which
     # sums in another order than fidelity's, so F may differ by 2 ulp of 1.
     # At real alpha both paths round the distribution alike; at complex
-    # alpha the sweep's real matrix drops the phases, which moves the
+    # alpha the kernel's real bands drop the phases, which moves the
     # distribution by about 1 ulp and the mean and Q by a few ulp of the mean.
     m = 6
     for alpha in (3.0, 2.5 + 1.5j):
@@ -474,21 +476,40 @@ def random_phase_state(dim):
     return FockVector(amps)
 
 
+def broad_state(dim, mode, real):
+    """Random magnitudes on every level but, for ADD, the top 8 (the headroom
+    of 4 passes), so the bands fill the window; with a phase ramp (real path)
+    or random phases."""
+    rng = np.random.default_rng(dim)
+    amps = 0.5 + rng.random(dim)
+    if mode is Mode.ADD:
+        amps[dim - 8 :] = 0.0
+    phases = 1.1 * np.arange(dim) if real else 2.0 * np.pi * rng.random(dim)
+    return FockVector(amps * np.exp(1j * phases)).normalized()
+
+
+# Windows on the band kernel's block edges: one block, one block and one
+# band, two blocks and one band; each on the real and the complex path.
+BLOCK_EDGE_WIDTHS = [(width, real) for width in (32, 33, 65) for real in (True, False)]
+
+
 @pytest.mark.parametrize(
-    "make_state, real",
+    "make_state, real, dim, m",
     [
-        (lambda dim: make_coherent(4.0 * cmath.exp(1.1j), dim), True),
-        (lambda dim: even_cat(4.0 * cmath.exp(0.3j), dim), True),
-        (random_phase_state, False),
+        (lambda dim, _: make_coherent(4.0 * cmath.exp(1.1j), dim), True, default_dim(4.0, 24), 12),
+        (lambda dim, _: even_cat(4.0 * cmath.exp(0.3j), dim), True, default_dim(4.0, 24), 12),
+        (lambda dim, _: random_phase_state(dim), False, default_dim(4.0, 24), 12),
+        *[(functools.partial(broad_state, real=real), real, w, 4) for w, real in BLOCK_EDGE_WIDTHS],
     ],
-    ids=["complex-alpha-coherent", "even-cat", "random-phase"],
+    ids=["complex-alpha-coherent", "even-cat", "random-phase"]
+    + [f"{'ramp' if real else 'random'}-W{w}" for w, real in BLOCK_EDGE_WIDTHS],
 )
 @pytest.mark.parametrize("mode", [Mode.ADD, Mode.SUBTRACT])
-def test_sweep_matches_full_space(mode, make_state, real):
-    # lo = 0 here; the cat's support skips every odd level, and the random
-    # phases do not step by one constant, so that state runs complex
-    m = 12
-    psi = make_state(default_dim(4.0, 2 * m))
+def test_band_passes_match_full_space(mode, make_state, real, dim, m):
+    # lo = 0 here, so the window is all dim levels; the cat's support skips
+    # every odd level, and random phases do not step by one constant, so
+    # those states run complex
+    psi = make_state(dim, mode)
     assert dynamics._has_phase_ramp(psi.amps) is real
     result = run_protocol(psi, m, mode)
     series, rho = full_space_loop(psi, m, mode)
@@ -496,7 +517,7 @@ def test_sweep_matches_full_space(mode, make_state, real):
 
 
 def test_coherent_states_run_real_up_to_the_memory_budget():
-    # parse_config budgets a float64 window matrix for every coherent input
+    # parse_config prices a float64 run for every coherent input
     # it admits; |alpha| = 800 is near the largest it admits
     for alpha in (300.0 * cmath.exp(0.7j), 800.0 * cmath.exp(2.9j)):
         psi = make_coherent(alpha, default_dim(alpha, 100))
@@ -506,11 +527,30 @@ def test_coherent_states_run_real_up_to_the_memory_budget():
 def test_subtract_sweep_keeps_mass_on_the_dark_vacuum():
     # at lo = 0 all the mass on the bottom level |0>, where S' vanishes, stays put
     dim = 8
-    padded = np.zeros((dim + 4, dim + 4), dtype=complex)
-    padded[2, 2] = 1.0
+    p = np.zeros(dim)
+    p[0] = 1.0
     c, s = dynamics._pass_diagonals(0, dim, Mode.SUBTRACT)
-    dynamics._sweep(padded, c, np.pad(s, 2), np.zeros(dim), Mode.SUBTRACT)
-    assert padded[2, 2] == 1.0
+    u = np.zeros((2, dim + dynamics.BAND_BLOCK), dtype=complex)
+    _, diagonal = dynamics._band_passes(u, p, c, s, Mode.SUBTRACT)
+    assert diagonal[0] == 1.0
+
+
+def test_protocol_allocates_no_window_square_array():
+    # at |alpha| = 45, m = 10 the add window is W = 896 of N = 2519 levels; the
+    # bands, BAND_BLOCK at a time, and the m + 1 targets stay under half of
+    # one float64 W x W array
+    m = 10
+    psi = make_coherent(45.0, default_dim(45.0, 2 * m))
+    first = int(np.argmax(np.cumsum(np.abs(psi.amps) ** 2) > dynamics.WINDOW_MASS_TOL))
+    width = psi.dim - dynamics.window_start(first, m, Mode.ADD)
+    assert width == 896
+    tracemalloc.start()
+    try:
+        run_protocol(psi, m, Mode.ADD)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < width * width * 8 / 2
 
 
 def _smallest_add_dim(alpha, m):
@@ -554,7 +594,7 @@ def _edge_mass_before_each_pass(psi, m, mode):
     ids=["add-5", "add-20e^0.7i", "subtract-20e^0.7i", "subtract-45"],
 )
 def test_pre_pass_guards_bound_every_edge_mass_a_pass_pushes_out(alpha, m, mode, windowed):
-    # why _sweep carries no guard: once the m-step target is built, the top
+    # why the band passes carry no guard: once the m-step target is built, the top
     # two levels (add, at the smallest dim add_photons_ideal admits) hold at
     # most 2m tail_tol^2 before every pass, and the bottom two of a window
     # with lo > 0 (subtract, at the policy dim) at most WINDOW_MASS_TOL
@@ -700,9 +740,9 @@ def test_approx_error_domain():
 
 def test_protocol_that_an_add_target_would_stop_stops_before_the_first_pass(monkeypatch):
     # the m-step target's top 2m amplitudes cover every k-step target's top 2k
-    sweep = dynamics._sweep
+    kernel = dynamics._band_passes
     calls = []
-    monkeypatch.setattr(dynamics, "_sweep", lambda *args: calls.append(1) or sweep(*args))
+    monkeypatch.setattr(dynamics, "_band_passes", lambda *args: calls.append(1) or kernel(*args))
     with pytest.raises(TruncationTooSmall, match="largest of the top 40 amplitudes"):
         run_protocol(make_coherent(3, 40), 20, Mode.ADD)
     assert calls == []
