@@ -18,8 +18,8 @@ One protocol pass evolves for gt = pi and re-prepares the qubit, which
 reduces to the exact field-only maps :func:`pass_add` / :func:`pass_subtract`.
 :func:`run_protocol` runs the same map, which keeps each band rho_{i,i+d}
 apart, on the bands d >= 0 of one matrix (float64 for coherent inputs) over
-the occupied Fock window [lo, N), scoring each pass as it goes. Iterating m
-passes approximates the ideal 2m-photon ladder states of :mod:`tpjc.sg`.
+the occupied Fock window [lo, N), scoring pass k against psi0 shifted by 2k:
+m passes approximate the ideal 2m-photon ladder states of :mod:`tpjc.sg`.
 """
 
 from __future__ import annotations
@@ -190,37 +190,42 @@ def pass_subtract(rho: DensityMatrix) -> DensityMatrix:
 BAND_BLOCK = 32
 
 
-def _band_passes(u, p, c, s, mode: Mode) -> tuple[np.ndarray, np.ndarray]:
-    """F(0..m) and the final diagonal of m = len(u) - 1 passes from rho = |u_0><u_0|
-    with diagonal ``p``, pass k scored against ``u[k]`` (the targets on the W
-    window levels, each then BAND_BLOCK zeros); ``c``, ``s`` are C, S. The pass
-    keeps i - j, so rho is held as its bands b_d(i) = rho_{i,i+d}, d >= 0,
-    BAND_BLOCK at a time, each entry rounded as :func:`_full_pass` rounds it. What a
-    pass pushes past a band's end never flows back, and u's zeros keep it out of F.
+def _band_passes(base, m: int, p, c, s, mode: Mode) -> tuple[np.ndarray, np.ndarray]:
+    """F(0..m) and the final diagonal of m passes from rho = |psi0><psi0| with
+    diagonal ``p`` on the W window levels; ``c``, ``s`` are C, S. Pass k is scored
+    against ``base`` (psi0, |psi0| on the real path, 2m levels past each window end)
+    shifted 2k up (ADD) or down: the k-step ladder state but for its norm and its
+    phases i^k (-1)^(jk), (-1)^(dk) on band d. rho is held as its bands b_d(i) =
+    rho_{i,i+d}, d >= 0 (a pass keeps i - j), BAND_BLOCK at a time, each entry
+    rounded as :func:`_full_pass` rounds it. What a pass pushes past a band's end
+    never flows back; there an ADD target reads psi0's top levels (<= tail_tol),
+    against entries the pre-pass guard bounds by 2m tail_tol^2: F cannot see it.
     """
     width = p.size
     c, s = np.pad(c, (0, BAND_BLOCK)), np.pad(s, (0, BAND_BLOCK))
-    scores = np.zeros((len(u), -(-width // BAND_BLOCK)))  # F(k)'s share from each block
-    block, scratch = np.empty((2, BAND_BLOCK * width), dtype=u.dtype)
+    scores = np.zeros((m + 1, -(-width // BAND_BLOCK)))  # F(k)'s share from each block
+    block, scratch = np.empty((2, BAND_BLOCK * width), dtype=base.dtype)
     for j, d0 in enumerate(reversed(range(0, width, BAND_BLOCK))):  # band 0's block last
-        n = width - d0  # row r of a block is band d0 + r on i < n, and v_d's row r is v_{i+d0+r}
-        v_d = (v[..., d0 : width + BAND_BLOCK - 1] for v in (c, s, u))
-        c_d, s_d, u_d = (np.lib.stride_tricks.sliding_window_view(v, n, axis=-1) for v in v_d)
+        n = width - d0  # row r of a block is band d0 + r on i < n, and c_d's row r is c_{i+d0+r}
+        v_d = (c[d0 : width + BAND_BLOCK - 1], s[d0 : width + BAND_BLOCK - 1], base)
+        c_d, s_d, shifts = (np.lib.stride_tricks.sliding_window_view(v, n) for v in v_d)
         x, moved = (a[: BAND_BLOCK * n].reshape(BAND_BLOCK, n) for a in (block, scratch))
-        np.multiply(np.conj(u_d[0], out=x), u[0, :n], out=x)
+        np.multiply(np.conj(shifts[2 * m + d0 : 2 * m + d0 + BAND_BLOCK], out=x), shifts[2 * m], out=x)
         weight = np.full(BAND_BLOCK, 2.0)  # band -d is conj(band d)
         if d0 == 0:  # |c|^2 as initial_dist has it: the real path's |c| |c| can be an ulp off
             x[0], weight[0] = p, 1.0
+        odd = weight * (-1.0) ** (d0 + np.arange(BAND_BLOCK))  # odd k's (-1)^(dk)
         to, fro = (x[:, 2:], moved[:, :-2]) if mode is Mode.ADD else (x[:, :-2], moved[:, 2:])
-        for k in range(len(u)):
+        for k in range(m + 1):
             if k:
                 np.multiply(x, s[:n], out=moved)
                 moved *= s_d
                 x *= c[:n]
                 x *= c_d
                 to += fro
-            np.multiply(x, u_d[k], out=moved)
-            scores[k, j] = weight @ (moved @ u[k, :n].conj()).real
+            t = 2 * (m - k if mode is Mode.ADD else m + k)  # target k is shifts[t] = base[t : t + n]
+            np.multiply(x, shifts[t + d0 : t + d0 + BAND_BLOCK], out=moved)
+            scores[k, j] = (odd if k % 2 else weight) @ (moved @ shifts[t].conj()).real
     return scores.sum(axis=1), x[0].real.copy()
 
 
@@ -286,21 +291,20 @@ def _dist_pairs(p: np.ndarray) -> list[tuple[int, float]]:
 def run_protocol(psi0: FockVector, m: int, mode: Mode) -> ProtocolResult:
     """Iterate m passes from rho_0 = |psi0><psi0|, tracking fidelity.
 
-    After pass k the fidelity F(k) = <target_k| rho_k |target_k> is
-    recorded against the ideal ladder state with k steps built from the
-    same initial state; F(0) = 1 by construction. The passes run on the
-    bands of a private matrix, which also score them. The matrix is float64
-    R, rho_ij = e^{i(psi_i - psi_j)} R_ij, scored with u_j = (-1)^(jk) |t_j|,
-    when psi0's phases pass ``_has_phase_ramp`` (coherent states, even and
-    odd cats); otherwise it is rho itself, complex.
+    After pass k the fidelity F(k) = <target_k| rho_k |target_k> is recorded
+    against the ideal ladder state with k steps from the same initial state,
+    psi0 shifted by 2k levels (:mod:`tpjc.sg`); F(0) = 1 by construction. The
+    passes run on the bands of a private matrix, scored against shifted views
+    of one base vector: float64 R, rho_ij = e^{i(psi_i - psi_j)} R_ij, and
+    |psi0| when psi0's phases pass ``_has_phase_ramp`` (coherent states, even
+    and odd cats); otherwise rho and psi0 themselves, complex.
 
     The matrix covers only the Fock window [lo, N) of :func:`window_start`,
     from the first index where psi0's cumulative mass exceeds
-    ``WINDOW_MASS_TOL``. The m-step target's guards bound every k-step
-    target's and every edge mass a pass pushes out, so it is built before
-    the other targets, the passes carry no guard, and a run that cannot
-    finish stops before its first pass. That state is then pass m's target
-    (F(0)'s at m = 0), so a run builds m + 1 ladder states. The final
+    ``WINDOW_MASS_TOL``. The m-step state's guards bound every k-step
+    target's and every edge mass a pass pushes out, so it is the one ladder
+    state a run builds, before any pass: the passes carry no guard, and a
+    run that cannot finish stops before its first pass. The final
     distribution is re-embedded on 0 .. N-1. If its mean photon number is
     0, Mandel Q is undefined: ``mandel_q_final`` is None and a warning
     says so.
@@ -317,19 +321,15 @@ def run_protocol(psi0: FockVector, m: int, mode: Mode) -> ProtocolResult:
     v = psi0.amps
     p0 = np.real(v * v.conj())
     lo = window_start(int(np.argmax(np.cumsum(p0) > WINDOW_MASS_TOL)), m, mode)
-    real = _has_phase_ramp(v)
-    sign = (-1.0) ** np.arange(lo, psi0.dim)
-
-    def target(k: int) -> np.ndarray:
-        amps = ideal_state(psi0, k, mode).amps[lo:]
-        return sign**k * np.abs(amps) if real else amps
-
-    last = target(m)  # the run's one truncation decision, before any pass
-    u = np.zeros((m + 1, last.size + BAND_BLOCK), dtype=last.dtype)
-    for k in range(m + 1):
-        u[k, : last.size] = target(k) if k < m else last
+    ideal_state(psi0, m, mode)  # the run's one truncation decision, before any pass
+    first = max(0, lo - 2 * m)  # base[2m + t] is psi0 at level lo + t, zero off [0, N)
+    amps = np.abs(v[first:]) if _has_phase_ramp(v) else v[first:]
+    base = np.pad(amps, (first - lo + 2 * m, 2 * m + BAND_BLOCK))
     c, s = _pass_diagonals(lo, psi0.dim, mode)
-    scores, diagonal = _band_passes(u, p0[lo:], c, s, mode)
+    scores, diagonal = _band_passes(base, m, p0[lo:], c, s, mode)
+    if mode is Mode.SUBTRACT:  # the k-step target is the shift over sqrt(1 - S_k)
+        r = 1.0 / np.sqrt(1.0 - np.array([low_component_mass(psi0, k) for k in range(m + 1)]))
+        scores = scores * r * r
     series = [(k, _unit_clamp(f)) for k, f in enumerate(scores)]
 
     final_dist = np.zeros(psi0.dim)

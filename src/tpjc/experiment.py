@@ -44,9 +44,9 @@ ORACLE_CHECK_BOUND = 1e-8
 APPROX_TABLE_MAX_J = 200
 
 # Largest memory a run may need, priced as W x W float64s (a conservative
-# bound on the band run's (m + 1) x W targets and 32-band blocks where the
-# budget binds) plus about six complex arrays over all N levels for
-# make_coherent. A fixed constant, so whether a config runs is host-independent.
+# bound on the band run's 32-band block, its scratch and its (W + 4m + 32)-float
+# base vector where the budget binds) plus about six complex arrays over all N
+# levels for make_coherent. A fixed constant, so whether a config runs is host-independent.
 MEMORY_BUDGET = 2 << 30
 
 

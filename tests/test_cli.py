@@ -422,6 +422,11 @@ def test_shipped_configs_are_valid():
 # another order: 29 of add_alpha5's 51 F values and 20 of subtract_alpha12's
 # moved by 1 or 2 ulp (at most 2.2e-16), so both configs' result.json and
 # fidelity_series.csv changed; every distribution, mean and Q kept its bytes.
+# Each pass is now scored against psi0 shifted by 2k, and a subtract F is then
+# multiplied by (1 - S_k)^(-1/2) twice instead of the target being divided by
+# it: 10 of subtract_alpha12's 51 F values moved by 1 or 2 ulp (at most
+# 2.2e-16), so its result.json and fidelity_series.csv changed; add_alpha5's
+# F values are bit-identical, and every other byte of both configs held.
 SHIPPED_OUTPUT_SHA256 = {
     "add_alpha5.json": {
         "result.json": "f45a1c250b37ac193e4de0797010d83d7e677990b558f53438a4f31af9f51ae2",
@@ -431,9 +436,9 @@ SHIPPED_OUTPUT_SHA256 = {
         "mean_photon.json": "6b15512fe900b92abfd827905160742be79bf03744159162433f5031111bd41b",
     },
     "subtract_alpha12.json": {
-        "result.json": "d3652e0ae7ee098966fc2d34cfe9c43bf27b2005a3a1e70277297aa0c1fac79d",
+        "result.json": "332b1fba2b0362070180c53563a83238f387057ee43311b0d7e031bd660ca49a",
         "fock_dist.csv": "9b8921142ef2626dd0035bffbead3c2846633bff526b67c74edf5ed9eb6f6f20",
-        "fidelity_series.csv": "8558ba921f61d1f00d96efbc05eb816d89b43adcf745f2b47ba96c2468332a27",
+        "fidelity_series.csv": "e673a56e5c01c12444fbc59432c0db3a8ac5994035dc603c527644f479c182fa",
         "mandel_q.json": "063a42eb6d474f686d5baf24e34a8884485675f0957313713769f732ab5aa843",
         "mean_photon.json": "c75cbbb1723efdd59df5fad242baccd8d7ac08df80ddfacaee167ecdb1e1e2c2",
     },

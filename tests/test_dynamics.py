@@ -530,15 +530,16 @@ def test_subtract_sweep_keeps_mass_on_the_dark_vacuum():
     p = np.zeros(dim)
     p[0] = 1.0
     c, s = dynamics._pass_diagonals(0, dim, Mode.SUBTRACT)
-    u = np.zeros((2, dim + dynamics.BAND_BLOCK), dtype=complex)
-    _, diagonal = dynamics._band_passes(u, p, c, s, Mode.SUBTRACT)
+    m = 1
+    base = np.zeros(dim + 4 * m + dynamics.BAND_BLOCK, dtype=complex)
+    _, diagonal = dynamics._band_passes(base, m, p, c, s, Mode.SUBTRACT)
     assert diagonal[0] == 1.0
 
 
 def test_protocol_allocates_no_window_square_array():
     # at |alpha| = 45, m = 10 the add window is W = 896 of N = 2519 levels; the
-    # bands, BAND_BLOCK at a time, and the m + 1 targets stay under half of
-    # one float64 W x W array
+    # bands, BAND_BLOCK at a time, and the one base vector the targets are
+    # shifted views of stay under half of one float64 W x W array
     m = 10
     psi = make_coherent(45.0, default_dim(45.0, 2 * m))
     first = int(np.argmax(np.cumsum(np.abs(psi.amps) ** 2) > dynamics.WINDOW_MASS_TOL))
@@ -551,6 +552,23 @@ def test_protocol_allocates_no_window_square_array():
     finally:
         tracemalloc.stop()
     assert peak < width * width * 8 / 2
+
+
+def test_protocol_stores_no_target_per_pass():
+    # at |alpha| = 3, m = 200 the add window is all N = W = 463 levels, and m + 1
+    # stored float64 targets would outweigh everything else the run holds
+    m = 200
+    psi = make_coherent(3.0, default_dim(3.0, 2 * m))
+    assert psi.dim == 463
+    first = int(np.argmax(np.cumsum(np.abs(psi.amps) ** 2) > dynamics.WINDOW_MASS_TOL))
+    assert dynamics.window_start(first, m, Mode.ADD) == 0
+    tracemalloc.start()
+    try:
+        run_protocol(psi, m, Mode.ADD)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (m + 1) * psi.dim * 8
 
 
 def _smallest_add_dim(alpha, m):
@@ -641,7 +659,8 @@ def test_truncation_guards_share_one_message_shape(trip, what, fix):
 @pytest.mark.parametrize("m", [0, 1, 7])
 @pytest.mark.parametrize("mode", [Mode.ADD, Mode.SUBTRACT])
 def test_protocol_builds_each_ladder_state_once(monkeypatch, mode, m):
-    # the pre-pass m-step state is pass m's target: k = 0..m, one build each
+    # the m-step state, the run's truncation decision, is the one ladder state a
+    # run builds: every pass is scored against a shift of psi0, so no other is
     built = []
 
     def counting(psi, k, mode):
@@ -650,7 +669,7 @@ def test_protocol_builds_each_ladder_state_once(monkeypatch, mode, m):
 
     monkeypatch.setattr(dynamics, "ideal_state", counting)
     run_protocol(make_coherent(3, 80), m, mode)
-    assert sorted(built) == list(range(m + 1))
+    assert built == [m]
 
 
 @pytest.mark.parametrize("mode", [Mode.ADD, Mode.SUBTRACT])
