@@ -16,10 +16,11 @@ to cross-check the closed form.
 
 One protocol pass evolves for gt = pi and re-prepares the qubit, which
 reduces to the exact field-only maps :func:`pass_add` / :func:`pass_subtract`.
-:func:`run_protocol` runs the same map, which keeps each band rho_{i,i+d}
-apart, on the bands d >= 0 of one matrix (float64 for coherent inputs) over
-the occupied Fock window [lo, N), scoring pass k against psi0 shifted by 2k:
-m passes approximate the ideal 2m-photon ladder states of :mod:`tpjc.sg`.
+:func:`run_protocol` picks the occupied Fock window [lo, N) and scores pass k
+against psi0 shifted by 2k over its norm: m passes approximate the ideal
+2m-photon ladder states of :mod:`tpjc.sg`. Its kernel :func:`_band_passes`
+owns how rho is stored: the same map, which keeps each band rho_{i,i+d}
+apart, on the bands d >= 0 of one matrix (float64 for coherent inputs).
 """
 
 from __future__ import annotations
@@ -190,30 +191,37 @@ def pass_subtract(rho: DensityMatrix) -> DensityMatrix:
 BAND_BLOCK = 32
 
 
-def _band_passes(base, m: int, p, c, s, mode: Mode) -> tuple[np.ndarray, np.ndarray]:
-    """F(0..m) and the final diagonal of m passes from rho = |psi0><psi0| with
-    diagonal ``p`` on the W window levels; ``c``, ``s`` are C, S. Pass k is scored
-    against ``base`` (psi0, |psi0| on the real path, 2m levels past each window end)
-    shifted 2k up (ADD) or down: the k-step ladder state but for its norm and its
-    phases i^k (-1)^(jk), (-1)^(dk) on band d. rho is held as its bands b_d(i) =
-    rho_{i,i+d}, d >= 0 (a pass keeps i - j), BAND_BLOCK at a time, each entry
-    rounded as :func:`_full_pass` rounds it. What a pass pushes past a band's end
-    never flows back; there an ADD target reads psi0's top levels (<= tail_tol),
-    against entries the pre-pass guard bounds by 2m tail_tol^2: F cannot see it.
+def _band_passes(v, p, lo: int, m: int, mode: Mode) -> tuple[np.ndarray, np.ndarray]:
+    """F(0..m) and the final diagonal on 0 .. N-1 of m passes from rho = |v><v|
+    with diagonal ``p`` on the Fock window [lo, N) of W = N - lo levels. rho is
+    held as its bands b_d(i) = rho_{i,i+d}, d >= 0 (a pass keeps i - j),
+    BAND_BLOCK at a time, each entry rounded as :func:`_full_pass` rounds it:
+    float64 R, rho_ij = e^{i(psi_i - psi_j)} R_ij, when v's phases pass
+    ``_has_phase_ramp`` (coherent states, even and odd cats), else complex.
+    Pass k is scored against one base vector (|v| on the real path, zero off
+    [lo, N), 2m levels past each window end) shifted 2k up (ADD) or down: the
+    k-step ladder state but for its norm and its phases i^k (-1)^(jk), (-1)^(dk)
+    on band d. v holds < WINDOW_MASS_TOL below lo, where an ADD target reads
+    zeros. What a pass pushes past a band's end never flows back; there an ADD
+    target reads v's top levels (<= tail_tol), against entries the pre-pass
+    guard bounds by 2m tail_tol^2: F cannot see either.
     """
-    width = p.size
-    c, s = np.pad(c, (0, BAND_BLOCK)), np.pad(s, (0, BAND_BLOCK))
+    width = p.size - lo
+    amps = np.abs(v[lo:]) if _has_phase_ramp(v) else v[lo:]
+    base = np.pad(amps, (2 * m, 2 * m + BAND_BLOCK))  # base[2m + t] is v at level lo + t
+    c, s = (np.pad(a, (0, BAND_BLOCK - 1)) for a in _pass_diagonals(lo, p.size, mode))
+    # row q of a view is its vector from q on; block d0 reads columns d0:
+    c_v, s_v, shifts = (np.lib.stride_tricks.sliding_window_view(a, width) for a in (c, s, base))
     scores = np.zeros((m + 1, -(-width // BAND_BLOCK)))  # F(k)'s share from each block
     block, scratch = np.empty((2, BAND_BLOCK * width), dtype=base.dtype)
     for j, d0 in enumerate(reversed(range(0, width, BAND_BLOCK))):  # band 0's block last
         n = width - d0  # row r of a block is band d0 + r on i < n, and c_d's row r is c_{i+d0+r}
-        v_d = (c[d0 : width + BAND_BLOCK - 1], s[d0 : width + BAND_BLOCK - 1], base)
-        c_d, s_d, shifts = (np.lib.stride_tricks.sliding_window_view(v, n) for v in v_d)
+        c_d, s_d = c_v[:, d0:], s_v[:, d0:]
         x, moved = (a[: BAND_BLOCK * n].reshape(BAND_BLOCK, n) for a in (block, scratch))
-        np.multiply(np.conj(shifts[2 * m + d0 : 2 * m + d0 + BAND_BLOCK], out=x), shifts[2 * m], out=x)
+        np.multiply(np.conj(shifts[2 * m : 2 * m + BAND_BLOCK, d0:], out=x), shifts[2 * m, :n], out=x)
         weight = np.full(BAND_BLOCK, 2.0)  # band -d is conj(band d)
         if d0 == 0:  # |c|^2 as initial_dist has it: the real path's |c| |c| can be an ulp off
-            x[0], weight[0] = p, 1.0
+            x[0], weight[0] = p[lo:], 1.0
         odd = weight * (-1.0) ** (d0 + np.arange(BAND_BLOCK))  # odd k's (-1)^(dk)
         to, fro = (x[:, 2:], moved[:, :-2]) if mode is Mode.ADD else (x[:, :-2], moved[:, 2:])
         for k in range(m + 1):
@@ -223,10 +231,10 @@ def _band_passes(base, m: int, p, c, s, mode: Mode) -> tuple[np.ndarray, np.ndar
                 x *= c[:n]
                 x *= c_d
                 to += fro
-            t = 2 * (m - k if mode is Mode.ADD else m + k)  # target k is shifts[t] = base[t : t + n]
-            np.multiply(x, shifts[t + d0 : t + d0 + BAND_BLOCK], out=moved)
-            scores[k, j] = (odd if k % 2 else weight) @ (moved @ shifts[t].conj()).real
-    return scores.sum(axis=1), x[0].real.copy()
+            t = 2 * (m - k if mode is Mode.ADD else m + k)  # target k is shifts[t, :n] = base[t : t + n]
+            np.multiply(x, shifts[t : t + BAND_BLOCK, d0:], out=moved)
+            scores[k, j] = (odd if k % 2 else weight) @ (moved @ shifts[t, :n].conj()).real
+    return scores.sum(axis=1), np.pad(x[0].real, (lo, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +293,7 @@ class ProtocolResult:
 
 
 def _dist_pairs(p: np.ndarray) -> list[tuple[int, float]]:
-    return [(j, float(p[j])) for j in range(p.size)]
+    return list(enumerate(p.tolist()))
 
 
 def run_protocol(psi0: FockVector, m: int, mode: Mode) -> ProtocolResult:
@@ -293,47 +301,31 @@ def run_protocol(psi0: FockVector, m: int, mode: Mode) -> ProtocolResult:
 
     After pass k the fidelity F(k) = <target_k| rho_k |target_k> is recorded
     against the ideal ladder state with k steps from the same initial state,
-    psi0 shifted by 2k levels (:mod:`tpjc.sg`); F(0) = 1 by construction. The
-    passes run on the bands of a private matrix, scored against shifted views
-    of one base vector: float64 R, rho_ij = e^{i(psi_i - psi_j)} R_ij, and
-    |psi0| when psi0's phases pass ``_has_phase_ramp`` (coherent states, even
-    and odd cats); otherwise rho and psi0 themselves, complex.
-
-    The matrix covers only the Fock window [lo, N) of :func:`window_start`,
-    from the first index where psi0's cumulative mass exceeds
-    ``WINDOW_MASS_TOL``. The m-step state's guards bound every k-step
-    target's and every edge mass a pass pushes out, so it is the one ladder
-    state a run builds, before any pass: the passes carry no guard, and a
-    run that cannot finish stops before its first pass. The final
-    distribution is re-embedded on 0 .. N-1. If its mean photon number is
-    0, Mandel Q is undefined: ``mandel_q_final`` is None and a warning
-    says so.
+    psi0 shifted by 2k levels over its norm (:mod:`tpjc.sg`); F(0) = 1 by
+    construction. :func:`_band_passes` runs the passes on the Fock window
+    [lo, N) of :func:`window_start`, from the first index where psi0's
+    cumulative mass exceeds ``WINDOW_MASS_TOL``. The m-step state's guards
+    bound every k-step target's and every edge mass a pass pushes out, so it
+    is the one ladder state a run builds, before any pass: the passes carry
+    no guard, and a run that cannot finish stops before its first pass. If
+    the final mean photon number is 0, Mandel Q is undefined:
+    ``mandel_q_final`` is None and a warning says so.
     """
+    ideal_state(psi0, m, mode)  # the run's one truncation decision, before any pass
+    low = [low_component_mass(psi0, k) if mode is Mode.SUBTRACT else 0.0 for k in range(m + 1)]
     warnings: list[str] = []
-    if mode is Mode.SUBTRACT:
-        base_low_mass = low_component_mass(psi0, m)
-        if base_low_mass > LOW_MASS_TOL:
-            warnings.append(
-                f"protocol: initial state has low-component mass {base_low_mass:.6e}; "
-                "subtraction targets use the renormalized form"
-            )
+    if low[-1] > LOW_MASS_TOL:
+        warnings.append(
+            f"protocol: initial state has low-component mass {low[-1]:.6e}; "
+            "subtraction targets use the renormalized form"
+        )
 
     v = psi0.amps
     p0 = np.real(v * v.conj())
     lo = window_start(int(np.argmax(np.cumsum(p0) > WINDOW_MASS_TOL)), m, mode)
-    ideal_state(psi0, m, mode)  # the run's one truncation decision, before any pass
-    first = max(0, lo - 2 * m)  # base[2m + t] is psi0 at level lo + t, zero off [0, N)
-    amps = np.abs(v[first:]) if _has_phase_ramp(v) else v[first:]
-    base = np.pad(amps, (first - lo + 2 * m, 2 * m + BAND_BLOCK))
-    c, s = _pass_diagonals(lo, psi0.dim, mode)
-    scores, diagonal = _band_passes(base, m, p0[lo:], c, s, mode)
-    if mode is Mode.SUBTRACT:  # the k-step target is the shift over sqrt(1 - S_k)
-        r = 1.0 / np.sqrt(1.0 - np.array([low_component_mass(psi0, k) for k in range(m + 1)]))
-        scores = scores * r * r
-    series = [(k, _unit_clamp(f)) for k, f in enumerate(scores)]
-
-    final_dist = np.zeros(psi0.dim)
-    final_dist[lo:] = diagonal
+    scores, final_dist = _band_passes(v, p0, lo, m, mode)
+    r = 1.0 / np.sqrt(1.0 - np.array(low))  # the k-step target is the shift over sqrt(1 - S_k)
+    series = [(k, _unit_clamp(f)) for k, f in enumerate(scores * r * r)]
     try:
         q_final = _mandel_q(final_dist)
     except ZeroMeanPhoton:

@@ -526,14 +526,23 @@ def test_coherent_states_run_real_up_to_the_memory_budget():
 
 def test_subtract_sweep_keeps_mass_on_the_dark_vacuum():
     # at lo = 0 all the mass on the bottom level |0>, where S' vanishes, stays put
-    dim = 8
-    p = np.zeros(dim)
-    p[0] = 1.0
-    c, s = dynamics._pass_diagonals(0, dim, Mode.SUBTRACT)
-    m = 1
-    base = np.zeros(dim + 4 * m + dynamics.BAND_BLOCK, dtype=complex)
-    _, diagonal = dynamics._band_passes(base, m, p, c, s, Mode.SUBTRACT)
+    v = np.zeros(8, dtype=complex)
+    v[0] = 1.0
+    _, diagonal = dynamics._band_passes(v, np.abs(v) ** 2, 0, 1, Mode.SUBTRACT)
     assert diagonal[0] == 1.0
+
+
+def test_protocol_builds_each_strided_view_once(monkeypatch):
+    # one sliding window each over C, S and the base vector serves every
+    # block of bands: at W = 256 there are 8 blocks, so views per block make 24
+    psi = make_coherent(5, 256)
+    view = np.lib.stride_tricks.sliding_window_view
+    calls = []
+    monkeypatch.setattr(
+        np.lib.stride_tricks, "sliding_window_view", lambda *args: calls.append(1) or view(*args)
+    )
+    run_protocol(psi, 50, Mode.ADD)
+    assert len(calls) == 3
 
 
 def test_protocol_allocates_no_window_square_array():

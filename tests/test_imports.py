@@ -1,6 +1,7 @@
 """Static checks: every name a tpjc module or a test file imports is used
-in that file, every name the package exports is read by the program, and
-no function but the coherent build and its guard takes a tolerance override."""
+in that file, every name the package exports is read by the program, no
+function but the coherent build and its guard takes a tolerance override,
+and run_protocol leaves how rho is stored to its band kernel."""
 
 import ast
 from pathlib import Path
@@ -128,3 +129,35 @@ def test_tol_parameters_are_found():
 def test_no_run_path_function_takes_a_tolerance():
     found = [name for path in MODULES for name in tol_parameters(path.stem, path.read_text())]
     assert [name for name in found if name not in TOL_OVERRIDES] == []
+
+
+# How the band kernel stores rho: its block size, its C and S, the real-path
+# choice and the padding of its base vector. run_protocol hands it psi0, p and lo.
+KERNEL_STORAGE = {"BAND_BLOCK", "_pass_diagonals", "_has_phase_ramp", "pad"}
+
+
+def body_reads(source: str, function: str) -> set[str]:
+    """Names and attributes the body of the top-level ``function`` in ``source`` reads."""
+    node = next(n for n in ast.parse(source).body if isinstance(n, ast.FunctionDef) and n.name == function)
+    return {
+        sub.id if isinstance(sub, ast.Name) else sub.attr
+        for stmt in node.body
+        for sub in ast.walk(stmt)
+        if isinstance(sub, ast.Attribute) or isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)
+    }
+
+
+def test_body_reads_are_found():
+    source = (
+        "def run(v, lo):\n"
+        '    """Not BAND_BLOCK."""\n'
+        "    base = np.pad(v, lo)\n"
+        "    return kernel(base, BAND_BLOCK)\n"
+        "def kernel(v, width):\n"
+        "    return _pass_diagonals(width)\n"
+    )
+    assert body_reads(source, "run") == {"np", "pad", "v", "lo", "kernel", "base", "BAND_BLOCK"}
+
+
+def test_run_protocol_leaves_storage_to_the_band_kernel():
+    assert body_reads((SRC / "dynamics.py").read_text(), "run_protocol") & KERNEL_STORAGE == set()
