@@ -39,9 +39,9 @@ from .fock import (
     _moments,
     _unit_clamp,
     fidelity,  # noqa: F401  (kept as tpjc.dynamics.fidelity; perfbench's smoke test reads it)
-    mean_photon,
+    fock_distribution,
 )
-from .sg import Mode, _mandel_q, ideal_state, low_component_mass
+from .sg import Mode, _mandel_q, _truncation_decision
 
 
 def rabi_angle(n, gt: float):
@@ -220,7 +220,7 @@ def _band_passes(v, p, lo: int, m: int, mode: Mode) -> tuple[np.ndarray, np.ndar
         x, moved = (a[: BAND_BLOCK * n].reshape(BAND_BLOCK, n) for a in (block, scratch))
         np.multiply(np.conj(shifts[2 * m : 2 * m + BAND_BLOCK, d0:], out=x), shifts[2 * m, :n], out=x)
         weight = np.full(BAND_BLOCK, 2.0)  # band -d is conj(band d)
-        if d0 == 0:  # |c|^2 as initial_dist has it: the real path's |c| |c| can be an ulp off
+        if d0 == 0:  # |c|^2 as initial_dist has it: the complex path's conj(c) c can be an ulp off
             x[0], weight[0] = p[lo:], 1.0
         odd = weight * (-1.0) ** (d0 + np.arange(BAND_BLOCK))  # odd k's (-1)^(dk)
         to, fro = (x[:, 2:], moved[:, :-2]) if mode is Mode.ADD else (x[:, :-2], moved[:, 2:])
@@ -245,8 +245,8 @@ def _band_passes(v, p, lo: int, m: int, mode: Mode) -> tuple[np.ndarray, np.ndar
 # mass moves fidelities, means and Q by less than double-precision rounding.
 # No pass checks the edges it pushes out: the diagonal moves two levels a pass,
 # so before pass k <= m a SUBTRACT window's bottom two hold at most this (mass
-# from below that index) if lo > 0 and are dark at lo = 0, and an ADD window's
-# top two at most 2m tail_tol^2 (psi0's top 2m levels, add_photons_ideal's guard).
+# from below that index) if lo > 0 and are dark at lo = 0; sg._truncation_decision
+# bounds an ADD window's top two.
 WINDOW_MASS_TOL = 1e-20
 
 
@@ -300,19 +300,15 @@ def run_protocol(psi0: FockVector, m: int, mode: Mode) -> ProtocolResult:
     """Iterate m passes from rho_0 = |psi0><psi0|, tracking fidelity.
 
     After pass k the fidelity F(k) = <target_k| rho_k |target_k> is recorded
-    against the ideal ladder state with k steps from the same initial state,
-    psi0 shifted by 2k levels over its norm (:mod:`tpjc.sg`); F(0) = 1 by
-    construction. :func:`_band_passes` runs the passes on the Fock window
-    [lo, N) of :func:`window_start`, from the first index where psi0's
-    cumulative mass exceeds ``WINDOW_MASS_TOL``. The m-step state's guards
-    bound every k-step target's and every edge mass a pass pushes out, so it
-    is the one ladder state a run builds, before any pass: the passes carry
-    no guard, and a run that cannot finish stops before its first pass. If
-    the final mean photon number is 0, Mandel Q is undefined:
-    ``mandel_q_final`` is None and a warning says so.
+    against the ideal ladder state with k steps from psi0, psi0 shifted by 2k
+    levels over its norm (:mod:`tpjc.sg`); F(0) = 1. :func:`_band_passes` runs
+    the passes on the Fock window [lo, N) of :func:`window_start`, from the
+    first index where psi0's cumulative mass exceeds ``WINDOW_MASS_TOL``. The
+    run builds no ladder state: the m-step one's guards, checked on psi0 before
+    any pass, are its one truncation decision. At a final mean photon number
+    of 0 Mandel Q is undefined: ``mandel_q_final`` is None and a warning says so.
     """
-    ideal_state(psi0, m, mode)  # the run's one truncation decision, before any pass
-    low = [low_component_mass(psi0, k) if mode is Mode.SUBTRACT else 0.0 for k in range(m + 1)]
+    low = _truncation_decision(psi0, m, mode)  # S_0 .. S_m, before any pass
     warnings: list[str] = []
     if low[-1] > LOW_MASS_TOL:
         warnings.append(
@@ -320,11 +316,10 @@ def run_protocol(psi0: FockVector, m: int, mode: Mode) -> ProtocolResult:
             "subtraction targets use the renormalized form"
         )
 
-    v = psi0.amps
-    p0 = np.real(v * v.conj())
+    p0 = fock_distribution(psi0)
     lo = window_start(int(np.argmax(np.cumsum(p0) > WINDOW_MASS_TOL)), m, mode)
-    scores, final_dist = _band_passes(v, p0, lo, m, mode)
-    r = 1.0 / np.sqrt(1.0 - np.array(low))  # the k-step target is the shift over sqrt(1 - S_k)
+    scores, final_dist = _band_passes(psi0.amps, p0, lo, m, mode)
+    r = 1.0 / np.sqrt(1.0 - low)  # the k-step target is the shift over sqrt(1 - S_k)
     series = [(k, _unit_clamp(f)) for k, f in enumerate(scores * r * r)]
     try:
         q_final = _mandel_q(final_dist)
@@ -335,7 +330,7 @@ def run_protocol(psi0: FockVector, m: int, mode: Mode) -> ProtocolResult:
         fidelity_series=series,
         initial_dist=_dist_pairs(p0),
         final_dist=_dist_pairs(final_dist),
-        mean_photon_initial=mean_photon(psi0),
+        mean_photon_initial=_moments(p0)[0],
         mean_photon_final=_moments(final_dist)[0],
         mandel_q_final=q_final,
         mandel_q_predicted=None,

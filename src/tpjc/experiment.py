@@ -43,10 +43,10 @@ ORACLE_CHECK_TIMES = (0.3, math.pi, 7.1)
 ORACLE_CHECK_BOUND = 1e-8
 APPROX_TABLE_MAX_J = 200
 
-# Largest memory a run may need, priced as W x W float64s (a conservative
-# bound on the band run's 32-band block, its scratch and its (W + 4m + 32)-float
-# base vector where the budget binds) plus about six complex arrays over all N
-# levels for make_coherent. A fixed constant, so whether a config runs is host-independent.
+# Largest memory a run may need: W x W float64s, a conservative bound on the band run's
+# block, scratch and base vector, plus 96 B per level (about six complex arrays) for
+# make_coherent. Whole runs peak at 390-441 B per level, mostly N-row result lists and
+# output strings; the W^2 term, 7-8x that peak, covers them. Fixed, so host-independent.
 MEMORY_BUDGET = 2 << 30
 
 

@@ -48,20 +48,29 @@ class Mode(enum.Enum):
 
 
 def low_component_mass(psi: FockVector, m: int) -> float:
-    """Probability mass sum_{k < 2m} |c_k|^2 removed by m subtraction steps.
-    Every subtraction path reads it first, so it owns their m < 0 ValueError."""
+    """Probability mass sum_{k < 2m} |c_k|^2 removed by m subtraction steps."""
     if m < 0:
         raise ValueError("m must be >= 0")
     k = min(2 * m, psi.dim)
     return float(np.sum(np.abs(psi.amps[:k]) ** 2))
 
 
-def _removed_mass(psi: FockVector, m: int) -> float:
-    """The mass S that m subtraction steps remove, under 1 - ``norm_tol``."""
-    low_mass = low_component_mass(psi, m)
-    if low_mass >= 1.0 - DEFAULT_TOL.norm_tol:
-        raise AllMassRemoved(f"subtraction with m={m} removes mass {low_mass:.12f} (all of the state)")
-    return low_mass
+def _truncation_decision(psi: FockVector, m: int, mode: Mode) -> np.ndarray:
+    """S_0 .. S_m (zeros for ADD) once the m-step ladder state from ``psi`` passes
+    its guard: the top 2m amplitudes under tail_tol, or S_m under 1 - norm_tol.
+    That bounds every k <= m step's guard and every edge mass m protocol passes
+    push out (the diagonal moves two levels a pass, so an ADD run's top two hold
+    at most 2m tail_tol^2), so a run that cannot finish stops before its first pass."""
+    if m < 0:
+        raise ValueError("m must be >= 0")
+    if mode is Mode.ADD:
+        top = float(np.max(np.abs(psi.amps[max(0, psi.dim - 2 * m):]), initial=0.0))
+        _check_edge(top, f"largest of the top {2 * m} amplitudes", f"enlarge dim={psi.dim}")
+        return np.zeros(m + 1)
+    low = np.array([low_component_mass(psi, k) for k in range(m + 1)])
+    if low[m] >= 1.0 - DEFAULT_TOL.norm_tol:
+        raise AllMassRemoved(f"subtraction with m={m} removes mass {low[m]:.12f} (all of the state)")
+    return low
 
 
 def _ladder_phases(size: int, m: int) -> np.ndarray:
@@ -77,11 +86,7 @@ def add_photons_ideal(psi: FockVector, m: int) -> FockVector:
     Norm-preserving up to the truncation guard: the top 2m amplitudes must
     be negligible since each step shifts the state up by two.
     """
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    if m > 0:
-        top = float(np.max(np.abs(psi.amps[max(0, psi.dim - 2 * m):])))
-        _check_edge(top, f"largest of the top {2 * m} amplitudes", f"enlarge dim={psi.dim}")
+    _truncation_decision(psi, m, Mode.ADD)
     kept = max(0, psi.dim - 2 * m)
     out = np.zeros(psi.dim, dtype=complex)
     out[psi.dim - kept :] = _ladder_phases(kept, m) * psi.amps[:kept]
@@ -95,7 +100,7 @@ def subtract_photons_ideal(psi: FockVector, m: int) -> tuple[FockVector, float]:
     sqrt(1 - S), S being the low-component mass it removes. Below
     S ~ 1.1e-16, 1 - S rounds to 1 and the division is exact.
     """
-    low_mass = _removed_mass(psi, m)
+    low_mass = float(_truncation_decision(psi, m, Mode.SUBTRACT)[m])
     kept = max(0, psi.dim - 2 * m)
     out = np.zeros(psi.dim, dtype=complex)
     out[:kept] = _ladder_phases(kept, m) * psi.amps[psi.dim - kept :] / np.sqrt(1.0 - low_mass)
@@ -110,7 +115,7 @@ def subtracted_mean_predict(psi: FockVector, m: int) -> float:
     The (2m - k) weight accounts for components removed below the shift
     distance; it reduces to <n> - 2m when the low components vanish.
     """
-    low_mass = _removed_mass(psi, m)
+    low_mass = float(_truncation_decision(psi, m, Mode.SUBTRACT)[m])
     k = np.arange(min(2 * m, psi.dim))
     correction = float(np.sum((2.0 * m - k) * np.abs(psi.amps[: k.size]) ** 2))
     return (mean_photon(psi) - 2.0 * m + correction) / (1.0 - low_mass)

@@ -8,6 +8,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from tpjc import (
     DEFAULT_TOL,
@@ -16,6 +18,7 @@ from tpjc import (
     DimensionMismatch,
     FockVector,
     Mode,
+    TpjcError,
     TruncationTooSmall,
     add_photons_ideal,
     approx_error,
@@ -39,7 +42,7 @@ from tpjc import (
     run_protocol,
     subtract_photons_ideal,
 )
-from tpjc import dynamics
+from tpjc import dynamics, sg
 
 # cos^2(pi sqrt(27*26)) and sin^2 of the same, at 60-digit precision.
 PASS_ADD_25_STAY = 0.00021962083683362364
@@ -422,9 +425,7 @@ def test_protocol_equals_loop_over_public_passes(mode):
         assert [k for k, _ in result.fidelity_series] == [k for k, _ in series]
         for (_, f), (_, f_ref) in zip(result.fidelity_series, series):
             assert abs(f - f_ref) <= 4.4e-16
-        assert result.initial_dist == [
-            (j, float(q)) for j, q in enumerate(fock_distribution(pure_density(psi)))
-        ]
+        assert result.initial_dist == [(j, float(q)) for j, q in enumerate(fock_distribution(psi))]
         if alpha.imag == 0:
             assert result.final_dist == [(j, float(q)) for j, q in enumerate(p)]
             assert result.mean_photon_final == mean_photon(rho)
@@ -621,7 +622,7 @@ def _edge_mass_before_each_pass(psi, m, mode):
     ids=["add-5", "add-20e^0.7i", "subtract-20e^0.7i", "subtract-45"],
 )
 def test_pre_pass_guards_bound_every_edge_mass_a_pass_pushes_out(alpha, m, mode, windowed):
-    # why the band passes carry no guard: once the m-step target is built, the top
+    # why the band passes carry no guard: once the m-step decision passes, the top
     # two levels (add, at the smallest dim add_photons_ideal admits) hold at
     # most 2m tail_tol^2 before every pass, and the bottom two of a window
     # with lo > 0 (subtract, at the policy dim) at most WINDOW_MASS_TOL
@@ -668,17 +669,46 @@ def test_truncation_guards_share_one_message_shape(trip, what, fix):
 @pytest.mark.parametrize("m", [0, 1, 7])
 @pytest.mark.parametrize("mode", [Mode.ADD, Mode.SUBTRACT])
 def test_protocol_builds_each_ladder_state_once(monkeypatch, mode, m):
-    # the m-step state, the run's truncation decision, is the one ladder state a
-    # run builds: every pass is scored against a shift of psi0, so no other is
+    # a run builds no ladder state: every pass is scored against a shift of
+    # psi0, and the run's truncation decision reads psi0 itself
     built = []
-
-    def counting(psi, k, mode):
-        built.append(k)
-        return ideal_state(psi, k, mode)
-
-    monkeypatch.setattr(dynamics, "ideal_state", counting)
+    for name in ("ideal_state", "add_photons_ideal", "subtract_photons_ideal"):
+        build = getattr(sg, name)
+        monkeypatch.setattr(sg, name, lambda *args, f=build: built.append(args[1]) or f(*args))
     run_protocol(make_coherent(3, 80), m, mode)
-    assert built == [m]
+    assert built == []
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.floats(0.0, 3.0),
+    st.floats(0.0, 2.0 * math.pi),
+    st.integers(-1, 16),
+    st.sampled_from(list(Mode)),
+    st.integers(1, 50),
+)
+def test_protocol_raises_what_its_m_step_state_raises_before_any_pass(r, phase, m, mode, dim):
+    # the run's truncation decision is the m-step ladder state's, in its words
+    try:
+        psi = make_coherent(r * cmath.exp(1j * phase), dim)
+    except TruncationTooSmall:
+        assume(False)
+    try:
+        ideal_state(psi, m, mode)
+        expected = None
+    except (ValueError, TpjcError) as exc:
+        expected = exc
+    kernel, calls = dynamics._band_passes, []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dynamics, "_band_passes", lambda *args: calls.append(1) or kernel(*args))
+        if expected is None:
+            run_protocol(psi, m, mode)
+            assert calls == [1]
+        else:
+            with pytest.raises(type(expected)) as info:
+                run_protocol(psi, m, mode)
+            assert type(info.value) is type(expected) and str(info.value) == str(expected)
+            assert calls == []
 
 
 @pytest.mark.parametrize("mode", [Mode.ADD, Mode.SUBTRACT])

@@ -5,6 +5,7 @@ import json
 import math
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +34,7 @@ from tpjc import (
     run_protocol,
     subtract_photons_ideal,
 )
+from tpjc import sg
 from tpjc.cli import main
 from tpjc.dynamics import WINDOW_MASS_TOL, first_level_bound, window_start
 from tpjc.experiment import (
@@ -284,6 +286,47 @@ def test_run_small_experiment(tmp_path):
     assert result.fidelity_series[0][0] == 0
     assert result.fidelity_series[0][1] == pytest.approx(1.0, abs=1e-12)
     assert result.mandel_q_predicted == pytest.approx(-4.0 / 13.0)
+
+
+SHIPPED = Path(__file__).resolve().parent.parent / "configs"
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        json.loads((SHIPPED / "add_alpha5.json").read_text()),
+        json.loads((SHIPPED / "subtract_alpha12.json").read_text()),
+        {"alpha": 100, "mode": "add", "m": 50},
+    ],
+    ids=["add_alpha5", "subtract_alpha12", "add_alpha100"],
+)
+def test_memory_budget_prices_more_than_a_run_allocates(tmp_path, data):
+    # W^2 float64s plus 96 B per level, against the whole run's tracemalloc peak:
+    # 0.36 / 0.55 MB, 0.39 / 0.85 MB and 4.9 / 35.8 MB (441 B per level) here
+    config = parse_config(data)
+    width = config.dim - window_start(first_level_bound(config.alpha), config.m, config.mode)
+    tracemalloc.start()
+    try:
+        run_experiment(config, tmp_path / "out")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < width * width * 8 + config.dim * 96
+
+
+@pytest.mark.parametrize(
+    "name, built",
+    [("add_alpha5.json", []), ("subtract_alpha12.json", [50])],
+    ids=["add_alpha5", "subtract_alpha12"],
+)
+def test_run_builds_a_ladder_state_only_for_the_subtract_q_prediction(monkeypatch, tmp_path, name, built):
+    # run_protocol builds none; a subtract run's predicted Q is the m-step state's
+    calls = []
+    for builder in ("add_photons_ideal", "subtract_photons_ideal"):
+        build = getattr(sg, builder)
+        monkeypatch.setattr(sg, builder, lambda psi, m, f=build: calls.append(m) or f(psi, m))
+    assert main(["run", str(SHIPPED / name), "--out", str(tmp_path / "out")]) == 0
+    assert calls == built
 
 
 def test_run_predicts_subtract_q_of_the_ideal_state(tmp_path):

@@ -1,7 +1,8 @@
 """Static checks: every name a tpjc module or a test file imports is used
 in that file, every name the package exports is read by the program, no
 function but the coherent build and its guard takes a tolerance override,
-and run_protocol leaves how rho is stored to its band kernel."""
+run_protocol leaves how rho is stored to its band kernel, and sg owns the
+ladder truncation decision."""
 
 import ast
 from pathlib import Path
@@ -161,3 +162,22 @@ def test_body_reads_are_found():
 
 def test_run_protocol_leaves_storage_to_the_band_kernel():
     assert body_reads((SRC / "dynamics.py").read_text(), "run_protocol") & KERNEL_STORAGE == set()
+
+
+def imported_names(source: str) -> set[str]:
+    """Names ``source`` imports from modules."""
+    return {
+        alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+
+
+def test_sg_owns_the_ladder_truncation_decision():
+    # one guard per direction, in sg._truncation_decision; run_protocol reads
+    # S_0 .. S_m from it and builds no ladder state
+    sg = (SRC / "sg.py").read_text()
+    assert sg.count("raise AllMassRemoved") == 1
+    assert sg.count('_check_edge(top, f"largest of the top {2 * m} amplitudes"') == 1
+    assert imported_names((SRC / "dynamics.py").read_text()) & {"ideal_state", "low_component_mass"} == set()
