@@ -245,8 +245,8 @@ def _band_passes(v, p, lo: int, m: int, mode: Mode) -> tuple[np.ndarray, np.ndar
 # mass moves fidelities, means and Q by less than double-precision rounding.
 # No pass checks the edges it pushes out: the diagonal moves two levels a pass,
 # so before pass k <= m a SUBTRACT window's bottom two hold at most this (mass
-# from below that index) if lo > 0 and are dark at lo = 0; sg._truncation_decision
-# bounds an ADD window's top two.
+# from below that index) if lo > 0 and are dark at lo = 0; sg._ladder_guard bounds
+# an ADD window's top two.
 WINDOW_MASS_TOL = 1e-20
 
 

@@ -55,28 +55,31 @@ def low_component_mass(psi: FockVector, m: int) -> float:
     return float(np.sum(np.abs(psi.amps[:k]) ** 2))
 
 
-def _truncation_decision(psi: FockVector, m: int, mode: Mode) -> np.ndarray:
-    """S_0 .. S_m (zeros for ADD) once the m-step ladder state from ``psi`` passes
-    its guard: the top 2m amplitudes under tail_tol, or S_m under 1 - norm_tol.
-    That bounds every k <= m step's guard and every edge mass m protocol passes
-    push out (the diagonal moves two levels a pass, so an ADD run's top two hold
-    at most 2m tail_tol^2), so a run that cannot finish stops before its first pass."""
+def _ladder_guard(psi: FockVector, m: int, mode: Mode) -> float:
+    """S_m (0 for ADD) once psi's m-step ladder state passes its guard on the top 2m or low 2m levels."""
     if m < 0:
         raise ValueError("m must be >= 0")
     if mode is Mode.ADD:
         top = float(np.max(np.abs(psi.amps[max(0, psi.dim - 2 * m):]), initial=0.0))
         _check_edge(top, f"largest of the top {2 * m} amplitudes", f"enlarge dim={psi.dim}")
-        return np.zeros(m + 1)
-    low = np.array([low_component_mass(psi, k) for k in range(m + 1)])
-    if low[m] >= 1.0 - DEFAULT_TOL.norm_tol:
-        raise AllMassRemoved(f"subtraction with m={m} removes mass {low[m]:.12f} (all of the state)")
-    return low
+        return 0.0
+    low_mass = low_component_mass(psi, m)
+    if low_mass >= 1.0 - DEFAULT_TOL.norm_tol:
+        raise AllMassRemoved(f"subtraction with m={m} removes mass {low_mass:.12f} (all of the state)")
+    return low_mass
+
+
+def _truncation_decision(psi: FockVector, m: int, mode: Mode) -> np.ndarray:
+    """S_0 .. S_m (zeros for ADD) once the m-step guard passes (a unit psi then has 2m < N).
+    It bounds every k <= m step's guard and every edge mass the passes push out (the diagonal
+    moves two levels a pass: an ADD run's top two hold <= 2m tail_tol^2), so no failing run starts."""
+    _ladder_guard(psi, m, mode)
+    return np.array([low_component_mass(psi, k) if mode is Mode.SUBTRACT else 0.0 for k in range(m + 1)])
 
 
 def _ladder_phases(size: int, m: int) -> np.ndarray:
-    """i^m (-1)^(k m) for k < size: the phase m ladder steps leave at the
-    landing index k (a shift by two keeps the parity, so the m parity
-    factors agree)."""
+    """i^m (-1)^(k m) for k < size: the phase m ladder steps leave at landing
+    index k (a shift by two keeps the parity, so the m parity factors agree)."""
     return (1.0, 1j, -1.0, -1j)[m % 4] * (-1.0) ** (m * np.arange(size))
 
 
@@ -86,7 +89,7 @@ def add_photons_ideal(psi: FockVector, m: int) -> FockVector:
     Norm-preserving up to the truncation guard: the top 2m amplitudes must
     be negligible since each step shifts the state up by two.
     """
-    _truncation_decision(psi, m, Mode.ADD)
+    _ladder_guard(psi, m, Mode.ADD)
     kept = max(0, psi.dim - 2 * m)
     out = np.zeros(psi.dim, dtype=complex)
     out[psi.dim - kept :] = _ladder_phases(kept, m) * psi.amps[:kept]
@@ -100,7 +103,7 @@ def subtract_photons_ideal(psi: FockVector, m: int) -> tuple[FockVector, float]:
     sqrt(1 - S), S being the low-component mass it removes. Below
     S ~ 1.1e-16, 1 - S rounds to 1 and the division is exact.
     """
-    low_mass = float(_truncation_decision(psi, m, Mode.SUBTRACT)[m])
+    low_mass = _ladder_guard(psi, m, Mode.SUBTRACT)
     kept = max(0, psi.dim - 2 * m)
     out = np.zeros(psi.dim, dtype=complex)
     out[:kept] = _ladder_phases(kept, m) * psi.amps[psi.dim - kept :] / np.sqrt(1.0 - low_mass)
@@ -115,7 +118,7 @@ def subtracted_mean_predict(psi: FockVector, m: int) -> float:
     The (2m - k) weight accounts for components removed below the shift
     distance; it reduces to <n> - 2m when the low components vanish.
     """
-    low_mass = float(_truncation_decision(psi, m, Mode.SUBTRACT)[m])
+    low_mass = _ladder_guard(psi, m, Mode.SUBTRACT)
     k = np.arange(min(2 * m, psi.dim))
     correction = float(np.sum((2.0 * m - k) * np.abs(psi.amps[: k.size]) ** 2))
     return (mean_photon(psi) - 2.0 * m + correction) / (1.0 - low_mass)
@@ -123,10 +126,7 @@ def subtracted_mean_predict(psi: FockVector, m: int) -> float:
 
 def ideal_state(psi: FockVector, m: int, mode: Mode) -> FockVector:
     """The ideal ladder state with m steps in direction ``mode`` from ``psi``."""
-    if mode is Mode.ADD:
-        return add_photons_ideal(psi, m)
-    state, _ = subtract_photons_ideal(psi, m)
-    return state
+    return add_photons_ideal(psi, m) if mode is Mode.ADD else subtract_photons_ideal(psi, m)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -162,12 +162,13 @@ def test_run_prices_an_over_long_dim_as_its_own_window(tmp_path, capsys, text):
     assert "budget" in err and " levels and a W=" in err and "needs N=" in err
 
 
-@pytest.mark.parametrize("alpha, m", [([0, 3], 40), (45, 1300)])
+@pytest.mark.parametrize("alpha, m", [([0, 3], 40), (45, 1300), (3, 10**9)])
 def test_run_that_removes_all_mass_stops_before_the_first_pass(
     tmp_path, capsys, monkeypatch, alpha, m
 ):
     # the m-step subtraction removes the most mass; the run names its m, where
-    # it used to run passes until the k-step target's mass ran out
+    # it used to run passes until the k-step target's mass ran out. At m = 10^9
+    # it checks S_m alone: a list of S_0 .. S_m first would take ~32 GB
     kernel = dynamics._band_passes
     calls = []
     monkeypatch.setattr(dynamics, "_band_passes", lambda *args: calls.append(1) or kernel(*args))

@@ -669,8 +669,9 @@ def test_truncation_guards_share_one_message_shape(trip, what, fix):
 @pytest.mark.parametrize("m", [0, 1, 7])
 @pytest.mark.parametrize("mode", [Mode.ADD, Mode.SUBTRACT])
 def test_protocol_builds_each_ladder_state_once(monkeypatch, mode, m):
-    # a run builds no ladder state: every pass is scored against a shift of
-    # psi0, and the run's truncation decision reads psi0 itself
+    # a run builds no ladder state, not even the one the name counts from: every
+    # pass is scored against a shift of psi0, and the truncation decision reads
+    # psi0 itself (test_imports forbids dynamics importing a builder directly)
     built = []
     for name in ("ideal_state", "add_photons_ideal", "subtract_photons_ideal"):
         build = getattr(sg, name)

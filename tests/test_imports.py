@@ -174,10 +174,50 @@ def imported_names(source: str) -> set[str]:
     }
 
 
+def calls_to(source: str, name: str) -> list[ast.Call]:
+    """Calls of the bare name ``name`` in ``source``, raised or not."""
+    return [
+        node
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == name
+    ]
+
+
+def raises_of(source: str, name: str) -> int:
+    """How many ``raise name(...)`` statements ``source`` holds."""
+    raised = [node.exc for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Raise)]
+    return sum(isinstance(e, ast.Call) and isinstance(e.func, ast.Name) and e.func.id == name for e in raised)
+
+
+def top_edge_checks(source: str) -> int:
+    """_check_edge calls whose f-string label names the top 2m amplitudes."""
+    labels = [call.args[1] for call in calls_to(source, "_check_edge") if len(call.args) > 1]
+    return sum(
+        isinstance(label, ast.JoinedStr)
+        and any(isinstance(v, ast.Constant) and "largest of the top" in v.value for v in label.values)
+        for label in labels
+    )
+
+
+def test_calls_and_raises_are_counted_across_lines():
+    source = (
+        "def f(m):\n"
+        "    _check_edge(\n        top,\n        f'largest of the top {2 * m} amplitudes', 'x'\n    )\n"
+        "    _check_edge(bottom, 'largest of the top levels', 'x')\n"
+        "    error = AllMassRemoved('built, not raised')\n"
+        "    raise AllMassRemoved(\n        'msg'\n    )\n"
+    )
+    assert len(calls_to(source, "_check_edge")) == 2
+    assert top_edge_checks(source) == 1
+    assert len(calls_to(source, "AllMassRemoved")) == 2
+    assert raises_of(source, "AllMassRemoved") == 1
+
+
 def test_sg_owns_the_ladder_truncation_decision():
-    # one guard per direction, in sg._truncation_decision; run_protocol reads
-    # S_0 .. S_m from it and builds no ladder state
+    # one guard per direction, in sg._ladder_guard; run_protocol reads S_0 .. S_m
+    # from sg._truncation_decision and builds no ladder state
     sg = (SRC / "sg.py").read_text()
-    assert sg.count("raise AllMassRemoved") == 1
-    assert sg.count('_check_edge(top, f"largest of the top {2 * m} amplitudes"') == 1
-    assert imported_names((SRC / "dynamics.py").read_text()) & {"ideal_state", "low_component_mass"} == set()
+    assert raises_of(sg, "AllMassRemoved") == 1
+    assert top_edge_checks(sg) == 1
+    builders = {"ideal_state", "add_photons_ideal", "subtract_photons_ideal", "low_component_mass"}
+    assert imported_names((SRC / "dynamics.py").read_text()) & builders == set()

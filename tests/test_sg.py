@@ -138,6 +138,14 @@ def test_subtract_all_mass_removed():
         subtract_photons_ideal(make_fock(0, 8), 1)
 
 
+@pytest.mark.parametrize("build", [subtract_photons_ideal, subtracted_mean_predict])
+def test_subtraction_past_the_state_raises_without_walking_m(build):
+    # m = 10^9 steps: the guard reads S_m alone, where a list of S_0 .. S_m
+    # would take ~32 GB before the check
+    with pytest.raises(AllMassRemoved, match="^subtraction with m=1000000000 removes mass "):
+        build(make_coherent(3, 40), 10**9)
+
+
 def test_subtract_then_add_restores_up_to_phase():
     psi = make_coherent(7, 160)
     for m in (1, 2, 3):
