@@ -12,12 +12,12 @@ from .experiment import (
     ORACLE_CHECK_DIM,
     ORACLE_CHECK_SEED,
     ORACLE_CHECK_TRIALS,
+    _write_text,
     approx_error_table,
     approx_table_csv,
-    emit_approx_table_csv,
-    emit_oracle_report,
     load_config,
     oracle_check,
+    oracle_report_json,
     run_experiment,
 )
 
@@ -61,16 +61,18 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
+def _print_or_write(text: str, out: str | None) -> None:
+    """A standalone report: its text on stdout, or written to ``out``."""
+    if out:
+        _write_text(out, text)
+        print(f"wrote {out}")
+    else:
+        sys.stdout.write(text)
+
+
 def _cmd_oracle_check(args: argparse.Namespace) -> int:
     report = oracle_check(dim=args.dim, trials=args.trials, seed=args.seed)
-    if args.out:
-        emit_oracle_report(report, args.out)
-        print(f"wrote {args.out}")
-    else:
-        print(
-            f"dim={report.dim} trials={report.trials} seed={report.seed} "
-            f"comparisons={report.comparisons} max_deviation={report.max_deviation:.3e}"
-        )
+    _print_or_write(oracle_report_json(report), args.out)
     if not report.passed:
         print(
             f"FAIL: max deviation {report.max_deviation:.3e} exceeds {ORACLE_CHECK_BOUND:.1e}",
@@ -81,12 +83,7 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_approx_table(args: argparse.Namespace) -> int:
-    rows = approx_error_table(args.max_j)
-    if args.out:
-        emit_approx_table_csv(rows, args.out)
-        print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(approx_table_csv(rows))
+    _print_or_write(approx_table_csv(approx_error_table(args.max_j)), args.out)
     return 0
 
 

@@ -173,33 +173,39 @@ def emit_json(result: ProtocolResult, path: str | Path) -> None:
     _write_text(path, "{\n" + lines + "\n}\n")
 
 
-def _optional_float(value) -> float | None:
-    return None if value is None else float(value)
+def _number(value, nullable: bool = False) -> float | None:
+    if type(value) in (int, float) or (nullable and value is None):
+        return None if value is None else float(value)
+    raise TypeError(f"expected a number, got {value!r}")
 
 
 def load_result(path: str | Path) -> ProtocolResult:
     try:
         data = json.loads(Path(path).read_text())
+        warnings = data["warnings"]
+        if type(warnings) is not list or not all(type(w) is str for w in warnings):
+            raise TypeError(f"warnings must be a list of strings, got {warnings!r}")
         return ProtocolResult(
-            fidelity_series=[(int(k), float(f)) for k, f in data["fidelity_series"]],
-            initial_dist=[(int(j), float(p)) for j, p in data["initial_dist"]],
-            final_dist=[(int(j), float(p)) for j, p in data["final_dist"]],
-            mean_photon_initial=float(data["mean_photon_initial"]),
-            mean_photon_final=float(data["mean_photon_final"]),
-            mandel_q_final=_optional_float(data["mandel_q_final"]),
-            mandel_q_predicted=_optional_float(data["mandel_q_predicted"]),
-            warnings=list(data["warnings"]),
+            fidelity_series=[(_integer("k", k, 0), _number(f)) for k, f in data["fidelity_series"]],
+            initial_dist=[(_integer("j", j, 0), _number(p)) for j, p in data["initial_dist"]],
+            final_dist=[(_integer("j", j, 0), _number(p)) for j, p in data["final_dist"]],
+            mean_photon_initial=_number(data["mean_photon_initial"]),
+            mean_photon_final=_number(data["mean_photon_final"]),
+            mandel_q_final=_number(data["mandel_q_final"], nullable=True),
+            mandel_q_predicted=_number(data["mandel_q_predicted"], nullable=True),
+            warnings=warnings,
         )
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
-    # ValueError: not JSON or a bad number; KeyError/TypeError: a missing or misshapen field
-    except (ValueError, KeyError, TypeError) as exc:
+    # ValueError: not JSON or a bad pair; RecursionError/OverflowError: nesting or a number
+    # past its limit; KeyError/TypeError/ConfigInvalid: a missing, mistyped or negative field
+    except (ValueError, RecursionError, KeyError, TypeError, ConfigInvalid, OverflowError) as exc:
         raise IoFailure(f"{path} is not a valid result file: {exc!r}") from exc
 
 
-def _emit_fields(obj, path: str | Path, *names: str) -> None:
-    """The named attributes of ``obj`` as one JSON object."""
-    _write_text(path, json.dumps({name: getattr(obj, name) for name in names}) + "\n")
+def _fields_json(obj, *names: str) -> str:
+    """The named attributes of ``obj`` as one JSON object on one line."""
+    return json.dumps({name: getattr(obj, name) for name in names}) + "\n"
 
 
 def _csv(header: str, *columns) -> str:
@@ -241,10 +247,6 @@ def approx_error_table(max_j: int) -> list[tuple[int, float, float]]:
 
 def approx_table_csv(rows: list[tuple[int, float, float]]) -> str:
     return _csv("j,add_error,subtract_error", *zip(*rows))
-
-
-def emit_approx_table_csv(rows: list[tuple[int, float, float]], path: str | Path) -> None:
-    _write_text(path, approx_table_csv(rows))
 
 
 @dataclass(frozen=True)
@@ -301,8 +303,8 @@ def oracle_check(
     )
 
 
-def emit_oracle_report(report: OracleReport, path: str | Path) -> None:
-    _emit_fields(report, path, "dim", "trials", "seed", "times", "comparisons", "max_deviation", "passed")
+def oracle_report_json(report: OracleReport) -> str:
+    return _fields_json(report, *(f.name for f in fields(report)), "passed")
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +339,6 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> tuple[Proto
     emit_json(result, result_json)
     emit_distribution_csv(result, dist_csv)
     emit_fidelity_csv(result, fidelity_csv)
-    _emit_fields(result, q_json, "mandel_q_final", "mandel_q_predicted")
-    _emit_fields(result, mean_json, "mean_photon_initial", "mean_photon_final")
+    _write_text(q_json, _fields_json(result, "mandel_q_final", "mandel_q_predicted"))
+    _write_text(mean_json, _fields_json(result, "mean_photon_initial", "mean_photon_final"))
     return result, written

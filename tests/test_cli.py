@@ -293,19 +293,21 @@ def test_oracle_check_command(capsys):
     assert "max_deviation" in captured.out
 
 
-def test_oracle_check_writes_report(tmp_path):
+def test_oracle_check_writes_report(tmp_path, capsys):
     report_path = tmp_path / "oracle.json"
-    rc = main(
-        ["oracle-check", "--dim", "16", "--trials", "3", "--seed", "7", "--out", str(report_path)]
-    )
-    assert rc == 0
+    args = ["oracle-check", "--dim", "16", "--trials", "3", "--seed", "7"]
+    assert main([*args, "--out", str(report_path)]) == 0
     data = json.loads(report_path.read_text())
     assert data["dim"] == 16
     assert data["comparisons"] == 9
     assert data["passed"] is True
-    # the report's bytes as released, numbers in shortest float repr
-    digest = hashlib.sha256(report_path.read_bytes()).hexdigest()
-    assert digest == "4aa445ab2059b36fff69f77cb6eebb5e728d83ea0a76c24b27a0c100a46e60f0"
+    # the report's bytes as released, numbers in shortest float repr, in the
+    # file and on stdout alike
+    capsys.readouterr()
+    assert main(args) == 0
+    for report in (report_path.read_bytes(), capsys.readouterr().out.encode()):
+        digest = hashlib.sha256(report).hexdigest()
+        assert digest == "4aa445ab2059b36fff69f77cb6eebb5e728d83ea0a76c24b27a0c100a46e60f0"
 
 
 def test_oracle_check_reports_unwritable_report(tmp_path, capsys):
@@ -326,7 +328,9 @@ def test_oracle_check_reports_failure(capsys, monkeypatch):
     rc = main(["oracle-check", "--dim", "8", "--trials", "1"])
     captured = capsys.readouterr()
     assert rc == 1
-    assert "max_deviation=3.375e-01" in captured.out
+    report = json.loads(captured.out)
+    assert report["max_deviation"] == pytest.approx(0.3375, abs=5e-5)
+    assert report["passed"] is False
     assert captured.err == "FAIL: max deviation 3.375e-01 exceeds 1.0e-08\n"
 
 
@@ -376,14 +380,19 @@ def test_approx_table_rejects_max_j_out_of_range(capsys, max_j):
     assert "max_j must be in [0, 1000000]" in captured.err
 
 
-def test_approx_table_file_deterministic(tmp_path, capsys):
-    path_a = tmp_path / "a.csv"
-    path_b = tmp_path / "b.csv"
-    assert main(["approx-table", "--max-j", "50", "--out", str(path_a)]) == 0
-    assert main(["approx-table", "--max-j", "50", "--out", str(path_b)]) == 0
+@pytest.mark.parametrize(
+    "args",
+    [["approx-table", "--max-j", "50"], ["oracle-check", "--dim", "16", "--trials", "3"]],
+    ids=["approx-table", "oracle-check"],
+)
+def test_report_stdout_equals_out_file(tmp_path, capsys, args):
+    path_a = tmp_path / "a"
+    path_b = tmp_path / "b"
+    assert main([*args, "--out", str(path_a)]) == 0
+    assert main([*args, "--out", str(path_b)]) == 0
     assert path_a.read_bytes() == path_b.read_bytes()
-    capsys.readouterr()
-    assert main(["approx-table", "--max-j", "50"]) == 0
+    assert capsys.readouterr().out == f"wrote {path_a}\nwrote {path_b}\n"
+    assert main(args) == 0
     assert capsys.readouterr().out.encode() == path_a.read_bytes()
 
 

@@ -441,13 +441,56 @@ def test_json_round_trip(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "text", ['{"fidelity_series": [[0, 1', "{}", None], ids=["truncated", "empty", "missing"]
+    "text",
+    ['{"fidelity_series": [[0, 1', "{}", None, "[" * 100_000],
+    ids=["truncated", "empty", "missing", "nested_past_recursion_limit"],
 )
 def test_load_result_rejects_corrupt_file(tmp_path, text):
     path = tmp_path / "result.json"
     if text is not None:
         path.write_text(text)
     with pytest.raises(IoFailure, match="result.json"):
+        load_result(path)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("warnings", "oops"),
+        ("warnings", [1]),
+        ("mean_photon_initial", "2.5"),
+        ("mean_photon_initial", True),
+        ("mean_photon_final", None),
+        ("mean_photon_final", 10**400),
+        ("mandel_q_final", "0.1"),
+        ("mandel_q_predicted", False),
+        ("fidelity_series", [[0, "1.0"]]),
+        ("fidelity_series", [[0.5, 1.0]]),
+        ("initial_dist", [[True, 1.0]]),
+        ("final_dist", [[-1, 1.0]]),
+    ],
+    ids=[
+        "warnings_str",
+        "warnings_int_item",
+        "mean_str",
+        "mean_bool",
+        "mean_null",
+        "mean_past_float",
+        "q_str",
+        "q_bool",
+        "fidelity_str",
+        "index_float",
+        "index_bool",
+        "index_negative",
+    ],
+)
+def test_load_result_rejects_a_misshapen_field(tmp_path, field, value):
+    path = tmp_path / "result.json"
+    emit_json(small_result(tmp_path), path)
+    data = json.loads(path.read_text())
+    data[field] = value
+    path.write_text(json.dumps(data))
+    with pytest.raises(IoFailure, match="result.json is not a valid result file"):
         load_result(path)
 
 
