@@ -18,9 +18,16 @@ One protocol pass evolves for gt = pi and re-prepares the qubit, which
 reduces to the exact field-only maps :func:`pass_add` / :func:`pass_subtract`.
 :func:`run_protocol` picks the occupied Fock window [lo, N) and scores pass k
 against psi0 shifted by 2k over its norm: m passes approximate the ideal
-2m-photon ladder states of :mod:`tpjc.sg`. Its kernel :func:`_band_passes`
-owns how rho is stored: the same map, which keeps each band rho_{i,i+d}
-apart, on the bands d >= 0 of one matrix (float64 for coherent inputs).
+2m-photon ladder states of :mod:`tpjc.sg`. Its kernels own how rho is stored
+(float64 for coherent inputs), and :func:`_passes` picks one per run.
+:func:`_band_passes` runs the same map, which keeps each band rho_{i,i+d}
+apart, on the bands d >= 0 of one matrix. :func:`_branch_passes` runs the
+operator sum rho_k = sum x x^dag over the branches x = K_k .. K_1 v, K a stay
+C or a move: far up the ladder c_n^2 ~ (pi / 8n)^2, so it keeps only the
+branches with at most F stays. :func:`_branch_stays` takes the smallest F with
+C(m, F+1) max(c_n^2)^(F+1) <= WINDOW_MASS_TOL, which bounds the trace those
+it drops hold, and picks the branch kernel where F < m and its row updates
+cost less than the band kernel's.
 """
 
 from __future__ import annotations
@@ -191,13 +198,14 @@ def pass_subtract(rho: DensityMatrix) -> DensityMatrix:
 BAND_BLOCK = 32
 
 
-def _band_passes(v, p, lo: int, m: int, mode: Mode) -> tuple[np.ndarray, np.ndarray]:
+def _band_passes(v, p, lo: int, m: int, mode: Mode, c, s) -> tuple[np.ndarray, np.ndarray]:
     """F(0..m) and the final diagonal on 0 .. N-1 of m passes from rho = |v><v|
-    with diagonal ``p`` on the Fock window [lo, N) of W = N - lo levels. rho is
-    held as its bands b_d(i) = rho_{i,i+d}, d >= 0 (a pass keeps i - j),
-    BAND_BLOCK at a time, each entry rounded as :func:`_full_pass` rounds it:
-    float64 R, rho_ij = e^{i(psi_i - psi_j)} R_ij, when v's phases pass
-    ``_has_phase_ramp`` (coherent states, even and odd cats), else complex.
+    with diagonal ``p`` on the Fock window [lo, N) of W = N - lo levels, whose
+    C and S are ``c`` and ``s``. rho is held as its bands b_d(i) = rho_{i,i+d},
+    d >= 0 (a pass keeps i - j), BAND_BLOCK at a time, each entry rounded as
+    :func:`_full_pass` rounds it: float64 R, rho_ij = e^{i(psi_i - psi_j)} R_ij,
+    when v's phases pass ``_has_phase_ramp`` (coherent states, even and odd
+    cats), else complex.
     Pass k is scored against one base vector (|v| on the real path, zero off
     [lo, N), 2m levels past each window end) shifted 2k up (ADD) or down: the
     k-step ladder state but for its norm and its phases i^k (-1)^(jk), (-1)^(dk)
@@ -209,7 +217,7 @@ def _band_passes(v, p, lo: int, m: int, mode: Mode) -> tuple[np.ndarray, np.ndar
     width = p.size - lo
     amps = np.abs(v[lo:]) if _has_phase_ramp(v) else v[lo:]
     base = np.pad(amps, (2 * m, 2 * m + BAND_BLOCK))  # base[2m + t] is v at level lo + t
-    c, s = (np.pad(a, (0, BAND_BLOCK - 1)) for a in _pass_diagonals(lo, p.size, mode))
+    c, s = (np.pad(a, (0, BAND_BLOCK - 1)) for a in (c, s))
     # row q of a view is its vector from q on; block d0 reads columns d0:
     c_v, s_v, shifts = (np.lib.stride_tricks.sliding_window_view(a, width) for a in (c, s, base))
     scores = np.zeros((m + 1, -(-width // BAND_BLOCK)))  # F(k)'s share from each block
@@ -223,11 +231,16 @@ def _band_passes(v, p, lo: int, m: int, mode: Mode) -> tuple[np.ndarray, np.ndar
         if d0 == 0:  # |c|^2 as initial_dist has it: the complex path's conj(c) c can be an ulp off
             x[0], weight[0] = p[lo:], 1.0
         odd = weight * (-1.0) ** (d0 + np.arange(BAND_BLOCK))  # odd k's (-1)^(dk)
-        to, fro = (x[:, 2:], moved[:, :-2]) if mode is Mode.ADD else (x[:, :-2], moved[:, 2:])
+        # the shift-add on the flat block, so numpy buffers nothing; the two entries
+        # a row pushes past its end are zeroed, as they would carry into the next row
+        out_of_row = np.s_[:, n - 2 :] if mode is Mode.ADD else np.s_[:, :2]
+        flat_x, flat_moved = block[: BAND_BLOCK * n], scratch[: BAND_BLOCK * n]
+        to, fro = (flat_x[2:], flat_moved[:-2]) if mode is Mode.ADD else (flat_x[:-2], flat_moved[2:])
         for k in range(m + 1):
             if k:
                 np.multiply(x, s[:n], out=moved)
                 moved *= s_d
+                moved[out_of_row] = 0.0
                 x *= c[:n]
                 x *= c_d
                 to += fro
@@ -235,6 +248,69 @@ def _band_passes(v, p, lo: int, m: int, mode: Mode) -> tuple[np.ndarray, np.ndar
             np.multiply(x, shifts[t : t + BAND_BLOCK, d0:], out=moved)
             scores[k, j] = (odd if k % 2 else weight) @ (moved @ shifts[t, :n].conj()).real
     return scores.sum(axis=1), np.pad(x[0].real, (lo, 0))
+
+
+def _column_squares(rows) -> np.ndarray:
+    """sum_r |rows[r, i]|^2 for each column i; squares ``rows`` in place."""
+    flat = rows.view(np.float64)  # a complex entry is its two floats side by side
+    np.square(flat, out=flat)
+    return flat.sum(axis=0).reshape(rows.shape[1], -1).sum(axis=1)
+
+
+def _branch_passes(v, lo: int, m: int, mode: Mode, c, s, stays: int) -> tuple[np.ndarray, np.ndarray]:
+    """What :func:`_band_passes` returns, from the branches x = K_k .. K_1 v with at
+    most ``stays`` stays K = C; every other K is a move, V^dag^2 S (ADD) or V^2 S.
+    rho_k = sum x x^dag, so F(k) sums |<t_k|x>|^2 over the k-pass branches and the
+    final diagonal sums |x|^2. Each branch is one row over the window, of |v| on
+    the real path (a pass keeps the phase ramp, so each target overlap's phase is
+    one constant). A row with a moves keeps level i at i -+ 2a, so a move or a stay
+    multiplies it in place by a shifted view of S or C. Branches run depth-first
+    over their first stay and, below it, pass by pass, in one buffer per stay
+    count f of C(m-1, f-1) rows. What a move pushes out of the window is dropped,
+    as the band kernel drops it.
+    """
+    width = v.size - lo
+    amps = np.abs(v[lo:]) if _has_phase_ramp(v) else v[lo:]
+    up = 1 if mode is Mode.ADD else -1
+    s = s.copy()
+    s[slice(-2, None) if mode is Mode.ADD else slice(0, 2)] = 0.0  # these move out of the window
+    pad = 2 * m  # level j of the window is entry pad + j of these
+    c, s, base = (np.pad(a, pad) for a in (c, s, amps))
+    # t_k on level j is i^k (-1)^(jk) v_{j -+ 2k}, and i^k drops out of |<t_k|x>|^2
+    targets = (base.conj(), (base * (-1.0) ** np.arange(base.size)).conj())
+
+    def frame(a):  # the levels of a row with a moves
+        return slice(pad + 2 * up * a, pad + 2 * up * a + width)
+
+    def score(rows, k, f):  # rows with f stays after pass k: t_k on level j reads base at j - up 2f
+        shift = pad - 2 * up * f
+        overlaps = rows @ targets[k % 2][shift : shift + width]
+        scores[k] += np.vdot(overlaps, overlaps).real
+
+    scores = np.zeros(m + 1)
+    diagonal = np.zeros(base.size)
+    bufs = [np.empty((math.comb(m - 1, f), width), dtype=amps.dtype) for f in range(stays)]
+    moves = amps.copy()[None]  # the branch with no stay
+    score(moves, 0, 0)
+    for first in range(1, m + 1):  # the branches whose first stay is pass `first`
+        if stays:
+            counts = [1] + [0] * (stays - 1)
+            np.multiply(moves, c[frame(first - 1)], out=bufs[0][:1])
+            score(bufs[0][:1], first, 1)
+            for k in range(first + 1, m + 1):
+                for f in range(min(stays, k - first + 1), 0, -1):  # so f - 1's rows are read unmoved
+                    buf, n = bufs[f - 1], counts[f - 1]
+                    buf[:n] *= s[frame(k - f - 1)]
+                    if f > 1:
+                        counts[f - 1] = n + counts[f - 2]
+                        np.multiply(bufs[f - 2][: counts[f - 2]], c[frame(k - f)], out=buf[n : counts[f - 1]])
+                    score(buf[: counts[f - 1]], k, f)
+            for f, n in enumerate(counts, start=1):
+                diagonal[frame(m - f)] += _column_squares(bufs[f - 1][:n])
+        moves *= s[frame(first - 1)]
+        score(moves, first, 0)
+    diagonal[frame(m)] += _column_squares(moves)
+    return scores, np.pad(diagonal[pad : pad + width], (lo, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +336,37 @@ def first_level_bound(alpha: complex) -> int:
 def window_start(first: int, m: int, mode: Mode) -> int:
     """lo of an m-pass run's window [lo, N) from its first level with mass."""
     return max(0, first - (2 * m if mode is Mode.SUBTRACT else 0))  # SUBTRACT moves mass down
+
+
+def _branch_stays(q: float, m: int, width: int) -> int | None:
+    """The stay count F of :func:`_branch_passes` for m passes on a window of
+    ``width`` levels whose largest c_n^2 is ``q``, or None where the band kernel
+    costs less. F is the smallest with C(m, F+1) q^(F+1) <= WINDOW_MASS_TOL: the
+    branches with more stays hold at most that much trace after any pass, so no F
+    and no level moves by more. The branches update m + sum_{f=1..F} C(m+1, f+1)
+    rows of W, the band kernel m (W+1)/2 per level; F grows only while they cost
+    less, so every count read as a float stays below that cost.
+    """
+    band = m * (width + 1) / 2
+    rows = m  # the branch with no stay
+    for stays in range(m):
+        if rows >= band:
+            return None
+        if math.comb(m, stays + 1) * q ** (stays + 1) <= WINDOW_MASS_TOL:
+            return stays
+        rows += math.comb(m + 1, stays + 2)  # the branches with stays + 1 stays, over all passes
+    return None
+
+
+def _passes(v, p, lo: int, m: int, mode: Mode) -> tuple[np.ndarray, np.ndarray]:
+    """F(0..m) and the final diagonal on 0 .. N-1 of m passes from |v><v| on the
+    window [lo, N) of ``p``, the initial diagonal: by :func:`_branch_passes` where
+    :func:`_branch_stays` certifies it and finds it cheaper, else by :func:`_band_passes`."""
+    c, s = _pass_diagonals(lo, p.size, mode)
+    stays = _branch_stays(float(np.max(c * c)), m, p.size - lo)
+    if stays is None:
+        return _band_passes(v, p, lo, m, mode, c, s)
+    return _branch_passes(v, lo, m, mode, c, s, stays)
 
 
 # Largest ||c - |c| e^{i psi}|| (psi_{j+2} - psi_j constant) that the float64
@@ -301,7 +408,7 @@ def run_protocol(psi0: FockVector, m: int, mode: Mode) -> ProtocolResult:
 
     After pass k the fidelity F(k) = <target_k| rho_k |target_k> is recorded
     against the ideal ladder state with k steps from psi0, psi0 shifted by 2k
-    levels over its norm (:mod:`tpjc.sg`); F(0) = 1. :func:`_band_passes` runs
+    levels over its norm (:mod:`tpjc.sg`); F(0) = 1. :func:`_passes` runs
     the passes on the Fock window [lo, N) of :func:`window_start`, from the
     first index where psi0's cumulative mass exceeds ``WINDOW_MASS_TOL``. The
     run builds no ladder state: the m-step one's guards, checked on psi0 before
@@ -318,7 +425,7 @@ def run_protocol(psi0: FockVector, m: int, mode: Mode) -> ProtocolResult:
 
     p0 = fock_distribution(psi0)
     lo = window_start(int(np.argmax(np.cumsum(p0) > WINDOW_MASS_TOL)), m, mode)
-    scores, final_dist = _band_passes(psi0.amps, p0, lo, m, mode)
+    scores, final_dist = _passes(psi0.amps, p0, lo, m, mode)
     r = 1.0 / np.sqrt(1.0 - low)  # the k-step target is the shift over sqrt(1 - S_k)
     series = [(k, _unit_clamp(f)) for k, f in enumerate(scores * r * r)]
     try:

@@ -169,9 +169,10 @@ def test_run_that_removes_all_mass_stops_before_the_first_pass(
     # the m-step subtraction removes the most mass; the run names its m, where
     # it used to run passes until the k-step target's mass ran out. At m = 10^9
     # it checks S_m alone: a list of S_0 .. S_m first would take ~32 GB
-    kernel = dynamics._band_passes
     calls = []
-    monkeypatch.setattr(dynamics, "_band_passes", lambda *args: calls.append(1) or kernel(*args))
+    for name in ("_band_passes", "_branch_passes"):
+        kernel = getattr(dynamics, name)
+        monkeypatch.setattr(dynamics, name, lambda *args, kernel=kernel: calls.append(1) or kernel(*args))
     config = write_config(tmp_path, alpha=alpha, mode="subtract", m=m)
     rc = main(["run", str(config), "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
@@ -418,7 +419,8 @@ def test_shipped_configs_are_valid():
 # meant to leave results alone must leave these bytes alone; a change that
 # alters them on purpose updates the digests and says why. The fidelities
 # (in fidelity_series.csv and result.json) are the band kernel's sums: BLAS
-# matrix-vector products per block of bands, then one sum over the blocks;
+# matrix-vector products per block of bands, then one sum over the blocks (the
+# path rule keeps both configs on that kernel, off the branch kernel);
 # subtract_alpha12's mandel_q_predicted is the Q of the ideal 50-step
 # subtracted state. Numbers are written as Python's shortest
 # float repr, which reads back to the same float64 as the 17-digit form these

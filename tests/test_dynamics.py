@@ -3,8 +3,10 @@
 import cmath
 import functools
 import math
+import random
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +32,7 @@ from tpjc import (
     fock_distribution,
     hamiltonian_eig,
     ideal_state,
+    load_config,
     low_component_mass,
     make_coherent,
     make_fock,
@@ -489,6 +492,34 @@ def broad_state(dim, mode, real):
     return FockVector(amps * np.exp(1j * phases)).normalized()
 
 
+def protocol_window(psi, m, mode):
+    """run_protocol's initial diagonal, lo and the C, S of its window."""
+    p = fock_distribution(psi)
+    lo = dynamics.window_start(int(np.argmax(np.cumsum(p) > dynamics.WINDOW_MASS_TOL)), m, mode)
+    return (p, lo, *dynamics._pass_diagonals(lo, psi.dim, mode))
+
+
+# The path rule replaced: the band kernel, or the branch kernel with every history.
+FORCED_STAYS = {"band": lambda q, m, width: None, "branch": lambda q, m, width: m}
+
+
+def forced_run(psi, m, mode, kernel):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dynamics, "_branch_stays", FORCED_STAYS[kernel])
+        return run_protocol(psi, m, mode)
+
+
+def assert_kernels_match_full_space_and_each_other(psi, m, mode):
+    series, rho = full_space_loop(psi, m, mode)
+    band, branch = (forced_run(psi, m, mode, kernel) for kernel in FORCED_STAYS)
+    for result in (band, branch):
+        assert_matches_full_space(result, series, rho, atol=1e-14)
+    for read in (lambda r: r.fidelity_series, lambda r: r.final_dist):
+        np.testing.assert_allclose(
+            [x for _, x in read(branch)], [x for _, x in read(band)], rtol=0, atol=1e-14
+        )
+
+
 # Windows on the band kernel's block edges: one block, one block and one
 # band, two blocks and one band; each on the real and the complex path.
 BLOCK_EDGE_WIDTHS = [(width, real) for width in (32, 33, 65) for real in (True, False)]
@@ -509,12 +540,106 @@ BLOCK_EDGE_WIDTHS = [(width, real) for width in (32, 33, 65) for real in (True, 
 def test_band_passes_match_full_space(mode, make_state, real, dim, m):
     # lo = 0 here, so the window is all dim levels; the cat's support skips
     # every odd level, and random phases do not step by one constant, so
-    # those states run complex
+    # those states run complex. Each kernel runs: the branch kernel with F = m
+    # drops no history, so both run the exact map
     psi = make_state(dim, mode)
     assert dynamics._has_phase_ramp(psi.amps) is real
-    result = run_protocol(psi, m, mode)
-    series, rho = full_space_loop(psi, m, mode)
-    assert_matches_full_space(result, series, rho, atol=1e-14)
+    assert_kernels_match_full_space_and_each_other(psi, m, mode)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.floats(0.5, 3.0),
+    st.floats(0.0, 2.0 * math.pi),
+    st.integers(0, 8),
+    st.sampled_from(list(Mode)),
+)
+def test_kernels_match_full_space_at_small_alpha(r, phase, m, mode):
+    alpha = r * cmath.exp(1j * phase)
+    psi = make_coherent(alpha, default_dim(alpha, 2 * m))
+    try:
+        ideal_state(psi, m, mode)
+    except TpjcError:
+        assume(False)
+    assert_kernels_match_full_space_and_each_other(psi, m, mode)
+
+
+# perfbench's scale_* phase at its default seed
+SCALE_PHASE = random.Random(0).uniform(0.0, 2.0 * math.pi)
+
+
+@pytest.mark.parametrize(
+    "alpha",
+    [20.0, 45.0 * cmath.exp(1j * SCALE_PHASE), 100.0 * cmath.exp(0.7j)],
+    ids=["20", "45-scale", "100e^0.7i"],
+)
+@pytest.mark.parametrize("mode", [Mode.ADD, Mode.SUBTRACT])
+def test_branch_kernel_matches_band_kernel_where_it_drops_histories(mode, alpha):
+    # at m = 10 the rule keeps 2 to 4 stays of 10: the dropped histories hold
+    # <= WINDOW_MASS_TOL, so the kernels differ by rounding alone
+    m = 10
+    psi = make_coherent(alpha, default_dim(alpha, 2 * m if mode is Mode.ADD else 0))
+    p, lo, c, s = protocol_window(psi, m, mode)
+    stays = dynamics._branch_stays(float(np.max(c * c)), m, psi.dim - lo)
+    assert stays is not None and 2 <= stays <= 4
+    band = dynamics._band_passes(psi.amps, p, lo, m, mode, c, s)
+    branch = dynamics._branch_passes(psi.amps, lo, m, mode, c, s, stays)
+    np.testing.assert_allclose(branch[0], band[0], rtol=0, atol=1e-15)
+    np.testing.assert_allclose(branch[1], band[1], rtol=0, atol=1e-16)
+
+
+def smallest_certified_stays(q, m):
+    return next(f for f in range(m + 1) if math.comb(m, f + 1) * q ** (f + 1) <= dynamics.WINDOW_MASS_TOL)
+
+
+@pytest.mark.parametrize("m", [1, 2, 10, 50, 300])
+@pytest.mark.parametrize("width", [64, 896, 10**12])
+def test_branch_stays_is_the_smallest_certified_count_where_branches_cost_less(width, m):
+    for q in [0.0, *np.logspace(-14.0, 0.0, 43)]:
+        stays = smallest_certified_stays(q, m)
+        rows = m + sum(math.comb(m + 1, f + 1) for f in range(1, stays + 1))
+        expected = stays if stays < m and rows < m * (width + 1) / 2 else None
+        assert dynamics._branch_stays(q, m, width) == expected
+
+
+@pytest.mark.parametrize(
+    "alpha, m, mode, stays",
+    [
+        (5.0, 7000, Mode.ADD, None),  # accepted by parse_config; C(m, F+1) overflows a float
+        (45.0 * cmath.exp(1j * SCALE_PHASE), 10, Mode.ADD, 3),
+        (45.0 * cmath.exp(1j * SCALE_PHASE), 10, Mode.SUBTRACT, 3),
+    ],
+    ids=["add-5-7000", "scale_add", "scale_subtract"],
+)
+def test_path_rule_is_taken_without_a_pass(alpha, m, mode, stays):
+    psi = make_coherent(alpha, default_dim(alpha, 2 * m if mode is Mode.ADD else 0))
+    _, lo, c, _ = protocol_window(psi, m, mode)
+    assert dynamics._branch_stays(float(np.max(c * c)), m, psi.dim - lo) == stays
+
+
+def counted_kernels(patch):
+    """The names of the pass kernels called from now on, in call order."""
+    calls = []
+    for name in ("_band_passes", "_branch_passes"):
+        kernel = getattr(dynamics, name)
+        patch.setattr(dynamics, name, lambda *args, name=name, kernel=kernel: calls.append(name) or kernel(*args))
+    return calls
+
+
+def test_shipped_configs_run_the_band_kernel_and_the_scale_runs_the_branch_kernel(monkeypatch):
+    # at alpha = 5 stays are not rare (F = 29 of 50), and alpha = 12's
+    # subtract window reaches |0>, where C' = 1
+    calls = counted_kernels(monkeypatch)
+    configs = Path(__file__).resolve().parent.parent / "configs"
+    for name in ("add_alpha5.json", "subtract_alpha12.json"):
+        config = load_config(configs / name)
+        run_protocol(make_coherent(config.alpha, config.dim), config.m, config.mode)
+    assert calls == ["_band_passes"] * 2
+    calls.clear()
+    for mode in Mode:
+        alpha = 45.0 * cmath.exp(1j * SCALE_PHASE)
+        run_protocol(make_coherent(alpha, default_dim(alpha, 20 if mode is Mode.ADD else 0)), 10, mode)
+    assert calls == ["_branch_passes"] * 2
 
 
 def test_coherent_states_run_real_up_to_the_memory_budget():
@@ -529,7 +654,8 @@ def test_subtract_sweep_keeps_mass_on_the_dark_vacuum():
     # at lo = 0 all the mass on the bottom level |0>, where S' vanishes, stays put
     v = np.zeros(8, dtype=complex)
     v[0] = 1.0
-    _, diagonal = dynamics._band_passes(v, np.abs(v) ** 2, 0, 1, Mode.SUBTRACT)
+    c, s = dynamics._pass_diagonals(0, 8, Mode.SUBTRACT)
+    _, diagonal = dynamics._band_passes(v, np.abs(v) ** 2, 0, 1, Mode.SUBTRACT, c, s)
     assert diagonal[0] == 1.0
 
 
@@ -549,19 +675,29 @@ def test_protocol_builds_each_strided_view_once(monkeypatch):
 def test_protocol_allocates_no_window_square_array():
     # at |alpha| = 45, m = 10 the add window is W = 896 of N = 2519 levels; the
     # bands, BAND_BLOCK at a time, and the one base vector the targets are
-    # shifted views of stay under half of one float64 W x W array
+    # shifted views of stay under half of one float64 W x W array. The branch
+    # kernel the run takes holds 46 rows of W, no more than the band kernel
     m = 10
     psi = make_coherent(45.0, default_dim(45.0, 2 * m))
-    first = int(np.argmax(np.cumsum(np.abs(psi.amps) ** 2) > dynamics.WINDOW_MASS_TOL))
-    width = psi.dim - dynamics.window_start(first, m, Mode.ADD)
+    p, lo, c, s = protocol_window(psi, m, Mode.ADD)
+    width = psi.dim - lo
     assert width == 896
-    tracemalloc.start()
-    try:
-        run_protocol(psi, m, Mode.ADD)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < width * width * 8 / 2
+    stays = dynamics._branch_stays(float(np.max(c * c)), m, width)
+    peaks = {}
+    for name, run in [
+        ("run_protocol", lambda: run_protocol(psi, m, Mode.ADD)),
+        ("band", lambda: dynamics._band_passes(psi.amps, p, lo, m, Mode.ADD, c, s)),
+        ("branch", lambda: dynamics._branch_passes(psi.amps, lo, m, Mode.ADD, c, s, stays)),
+    ]:
+        tracemalloc.start()
+        try:
+            run()
+            peaks[name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks["run_protocol"] < width * width * 8 / 2
+    assert peaks["band"] < width * width * 8 / 2
+    assert peaks["branch"] <= peaks["band"]
 
 
 def test_protocol_stores_no_target_per_pass():
@@ -596,9 +732,7 @@ def _edge_mass_before_each_pass(psi, m, mode):
     """lo and, before each pass k + 1 <= m, the mass on the window edge that
     pass pushes out (ADD: the top two levels; SUBTRACT: the bottom two),
     from the diagonal chain p'_i = c_i^2 p_i + s_j^2 p_j, j = i -+ 2."""
-    p0 = np.abs(psi.amps) ** 2
-    lo = dynamics.window_start(int(np.argmax(np.cumsum(p0) > dynamics.WINDOW_MASS_TOL)), m, mode)
-    c, s = dynamics._pass_diagonals(lo, psi.dim, mode)
+    p0, lo, c, s = protocol_window(psi, m, mode)
     p, edges = p0[lo:], []
     for _ in range(m):
         edges.append(p[-2:].sum() if mode is Mode.ADD else p[:2].sum())
@@ -699,12 +833,11 @@ def test_protocol_raises_what_its_m_step_state_raises_before_any_pass(r, phase, 
         expected = None
     except (ValueError, TpjcError) as exc:
         expected = exc
-    kernel, calls = dynamics._band_passes, []
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(dynamics, "_band_passes", lambda *args: calls.append(1) or kernel(*args))
+        calls = counted_kernels(patch)
         if expected is None:
             run_protocol(psi, m, mode)
-            assert calls == [1]
+            assert len(calls) == 1
         else:
             with pytest.raises(type(expected)) as info:
                 run_protocol(psi, m, mode)
@@ -799,9 +932,7 @@ def test_approx_error_domain():
 
 def test_protocol_that_an_add_target_would_stop_stops_before_the_first_pass(monkeypatch):
     # the m-step target's top 2m amplitudes cover every k-step target's top 2k
-    kernel = dynamics._band_passes
-    calls = []
-    monkeypatch.setattr(dynamics, "_band_passes", lambda *args: calls.append(1) or kernel(*args))
+    calls = counted_kernels(monkeypatch)
     with pytest.raises(TruncationTooSmall, match="largest of the top 40 amplitudes"):
         run_protocol(make_coherent(3, 40), 20, Mode.ADD)
     assert calls == []

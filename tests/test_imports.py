@@ -1,8 +1,8 @@
 """Static checks: every name a tpjc module or a test file imports is used
 in that file, every name the package exports is read by the program, no
 function but the coherent build and its guard takes a tolerance override,
-run_protocol leaves how rho is stored to its band kernel, and sg owns the
-ladder truncation decision."""
+run_protocol leaves how rho is stored and which pass kernel runs to the
+kernels' entry point, and sg owns the ladder truncation decision."""
 
 import ast
 from pathlib import Path
@@ -132,9 +132,18 @@ def test_no_run_path_function_takes_a_tolerance():
     assert [name for name in found if name not in TOL_OVERRIDES] == []
 
 
-# How the band kernel stores rho: its block size, its C and S, the real-path
-# choice and the padding of its base vector. run_protocol hands it psi0, p and lo.
-KERNEL_STORAGE = {"BAND_BLOCK", "_pass_diagonals", "_has_phase_ramp", "pad"}
+# How the pass kernels store rho: the band kernel's block size, their C and S,
+# the real-path choice and the padding of their base vector, the kernels
+# themselves and the rule that picks one. run_protocol hands _passes psi0, p and lo.
+KERNEL_STORAGE = {
+    "BAND_BLOCK",
+    "_pass_diagonals",
+    "_has_phase_ramp",
+    "pad",
+    "_band_passes",
+    "_branch_passes",
+    "_branch_stays",
+}
 
 
 def body_reads(source: str, function: str) -> set[str]:
