@@ -26,8 +26,9 @@ operator sum rho_k = sum x x^dag over the branches x = K_k .. K_1 v, K a stay
 C or a move: far up the ladder c_n^2 ~ (pi / 8n)^2, so it keeps only the
 branches with at most F stays. :func:`_branch_stays` takes the smallest F with
 C(m, F+1) max(c_n^2)^(F+1) <= WINDOW_MASS_TOL, which bounds the trace those
-it drops hold, and picks the branch kernel where F < m and its row updates
-cost less than the band kernel's.
+it drops hold, and picks the branch kernel where F < m, its row updates
+cost less than the band kernel's and it holds no more rows than the band
+kernel's block and scratch.
 """
 
 from __future__ import annotations
@@ -341,20 +342,23 @@ def window_start(first: int, m: int, mode: Mode) -> int:
 def _branch_stays(q: float, m: int, width: int) -> int | None:
     """The stay count F of :func:`_branch_passes` for m passes on a window of
     ``width`` levels whose largest c_n^2 is ``q``, or None where the band kernel
-    costs less. F is the smallest with C(m, F+1) q^(F+1) <= WINDOW_MASS_TOL: the
-    branches with more stays hold at most that much trace after any pass, so no F
-    and no level moves by more. The branches update m + sum_{f=1..F} C(m+1, f+1)
-    rows of W, the band kernel m (W+1)/2 per level; F grows only while they cost
-    less, so every count read as a float stays below that cost.
+    costs less or holds less. F is the smallest with C(m, F+1) q^(F+1) <=
+    WINDOW_MASS_TOL: the branches with more stays hold at most that much trace
+    after any pass, so no F and no level moves by more. The branches update
+    m + sum_{f=1..F} C(m+1, f+1) rows of W, the band kernel m (W+1)/2 per level;
+    they hold 1 + sum_{f<F} C(m-1, f) rows of W at once, the band kernel its
+    block and scratch, 2 BAND_BLOCK rows. F grows only while the branches cost
+    less and hold no more, so every count read as a float stays below that cost.
     """
     band = m * (width + 1) / 2
-    rows = m  # the branch with no stay
+    rows, held = m, 1  # the branch with no stay
     for stays in range(m):
-        if rows >= band:
+        if rows >= band or held > 2 * BAND_BLOCK:
             return None
         if math.comb(m, stays + 1) * q ** (stays + 1) <= WINDOW_MASS_TOL:
             return stays
         rows += math.comb(m + 1, stays + 2)  # the branches with stays + 1 stays, over all passes
+        held += math.comb(m - 1, stays)  # the buffer of the branches with stays + 1 stays
     return None
 
 

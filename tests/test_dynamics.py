@@ -45,7 +45,7 @@ from tpjc import (
     run_protocol,
     subtract_photons_ideal,
 )
-from tpjc import dynamics, sg
+from tpjc import dynamics, experiment, sg
 
 # cos^2(pi sqrt(27*26)) and sin^2 of the same, at 60-digit precision.
 PASS_ADD_25_STAY = 0.00021962083683362364
@@ -568,6 +568,10 @@ def test_kernels_match_full_space_at_small_alpha(r, phase, m, mode):
 SCALE_PHASE = random.Random(0).uniform(0.0, 2.0 * math.pi)
 
 
+def smallest_certified_stays(q, m):
+    return next(f for f in range(m + 1) if math.comb(m, f + 1) * q ** (f + 1) <= dynamics.WINDOW_MASS_TOL)
+
+
 @pytest.mark.parametrize(
     "alpha",
     [20.0, 45.0 * cmath.exp(1j * SCALE_PHASE), 100.0 * cmath.exp(0.7j)],
@@ -575,31 +579,36 @@ SCALE_PHASE = random.Random(0).uniform(0.0, 2.0 * math.pi)
 )
 @pytest.mark.parametrize("mode", [Mode.ADD, Mode.SUBTRACT])
 def test_branch_kernel_matches_band_kernel_where_it_drops_histories(mode, alpha):
-    # at m = 10 the rule keeps 2 to 4 stays of 10: the dropped histories hold
-    # <= WINDOW_MASS_TOL, so the kernels differ by rounding alone
+    # at m = 10 the certificate keeps 2 to 4 stays of 10: the dropped histories
+    # hold <= WINDOW_MASS_TOL, so the kernels differ by rounding alone. At
+    # alpha = 20 the rule runs the band kernel, as F = 4 holds too many rows
     m = 10
     psi = make_coherent(alpha, default_dim(alpha, 2 * m if mode is Mode.ADD else 0))
     p, lo, c, s = protocol_window(psi, m, mode)
-    stays = dynamics._branch_stays(float(np.max(c * c)), m, psi.dim - lo)
-    assert stays is not None and 2 <= stays <= 4
+    stays = smallest_certified_stays(float(np.max(c * c)), m)
+    assert 2 <= stays <= 4
     band = dynamics._band_passes(psi.amps, p, lo, m, mode, c, s)
     branch = dynamics._branch_passes(psi.amps, lo, m, mode, c, s, stays)
     np.testing.assert_allclose(branch[0], band[0], rtol=0, atol=1e-15)
     np.testing.assert_allclose(branch[1], band[1], rtol=0, atol=1e-16)
 
 
-def smallest_certified_stays(q, m):
-    return next(f for f in range(m + 1) if math.comb(m, f + 1) * q ** (f + 1) <= dynamics.WINDOW_MASS_TOL)
+def branch_rows(m, stays):
+    """The rows of W the branch kernel updates over a run, and the rows it holds at once."""
+    updated = m + sum(math.comb(m + 1, f + 1) for f in range(1, stays + 1))
+    held = 1 + sum(math.comb(m - 1, f) for f in range(stays))
+    return updated, held
 
 
-@pytest.mark.parametrize("m", [1, 2, 10, 50, 300])
+@pytest.mark.parametrize("m", [1, 2, 10, 16, 50, 300])
 @pytest.mark.parametrize("width", [64, 896, 10**12])
 def test_branch_stays_is_the_smallest_certified_count_where_branches_cost_less(width, m):
+    # and where they hold no more rows than the band kernel's block and scratch
     for q in [0.0, *np.logspace(-14.0, 0.0, 43)]:
         stays = smallest_certified_stays(q, m)
-        rows = m + sum(math.comb(m + 1, f + 1) for f in range(1, stays + 1))
-        expected = stays if stays < m and rows < m * (width + 1) / 2 else None
-        assert dynamics._branch_stays(q, m, width) == expected
+        updated, held = branch_rows(m, stays)
+        fits = updated < m * (width + 1) / 2 and held <= 2 * dynamics.BAND_BLOCK
+        assert dynamics._branch_stays(q, m, width) == (stays if stays < m and fits else None)
 
 
 @pytest.mark.parametrize(
@@ -608,13 +617,30 @@ def test_branch_stays_is_the_smallest_certified_count_where_branches_cost_less(w
         (5.0, 7000, Mode.ADD, None),  # accepted by parse_config; C(m, F+1) overflows a float
         (45.0 * cmath.exp(1j * SCALE_PHASE), 10, Mode.ADD, 3),
         (45.0 * cmath.exp(1j * SCALE_PHASE), 10, Mode.SUBTRACT, 3),
+        (100.0 * cmath.exp(0.7j), 50, Mode.ADD, 2),
+        # the certified F = 4 would hold 131 rows, over the band kernel's 64
+        (20.0, 10, Mode.ADD, None),
     ],
-    ids=["add-5-7000", "scale_add", "scale_subtract"],
+    ids=["add-5-7000", "scale_add", "scale_subtract", "add-100-50", "add-20-10"],
 )
 def test_path_rule_is_taken_without_a_pass(alpha, m, mode, stays):
     psi = make_coherent(alpha, default_dim(alpha, 2 * m if mode is Mode.ADD else 0))
     _, lo, c, _ = protocol_window(psi, m, mode)
     assert dynamics._branch_stays(float(np.max(c * c)), m, psi.dim - lo) == stays
+
+
+def test_path_rule_refuses_branches_that_would_outgrow_an_admitted_run():
+    # parse_config admits this N, and the certified F = 11 updates fewer rows
+    # than the band kernel, but it would hold 30 828 rows of W = 16 197, 4 GB
+    alpha, m, dim = 7.4, 16, 16200
+    experiment.parse_config({"alpha": alpha, "mode": "add", "m": m, "dim": dim})
+    _, lo, c, _ = protocol_window(make_coherent(alpha, dim), m, Mode.ADD)
+    stays = smallest_certified_stays(float(np.max(c * c)), m)
+    updated, held = branch_rows(m, stays)
+    assert (lo, stays) == (3, 11)
+    assert updated < m * (dim - lo + 1) / 2
+    assert held * (dim - lo) * 8 > experiment.MEMORY_BUDGET
+    assert dynamics._branch_stays(float(np.max(c * c)), m, dim - lo) is None
 
 
 def counted_kernels(patch):
@@ -676,7 +702,7 @@ def test_protocol_allocates_no_window_square_array():
     # at |alpha| = 45, m = 10 the add window is W = 896 of N = 2519 levels; the
     # bands, BAND_BLOCK at a time, and the one base vector the targets are
     # shifted views of stay under half of one float64 W x W array. The branch
-    # kernel the run takes holds 46 rows of W, no more than the band kernel
+    # kernel the run takes holds 47 rows of W, no more than the band kernel's 64
     m = 10
     psi = make_coherent(45.0, default_dim(45.0, 2 * m))
     p, lo, c, s = protocol_window(psi, m, Mode.ADD)
