@@ -18,17 +18,17 @@ One protocol pass evolves for gt = pi and re-prepares the qubit, which
 reduces to the exact field-only maps :func:`pass_add` / :func:`pass_subtract`.
 :func:`run_protocol` picks the occupied Fock window [lo, N) and scores pass k
 against psi0 shifted by 2k over its norm: m passes approximate the ideal
-2m-photon ladder states of :mod:`tpjc.sg`. Its kernels own how rho is stored
-(float64 for coherent inputs), and :func:`_passes` picks one per run.
-:func:`_band_passes` runs the same map, which keeps each band rho_{i,i+d}
-apart, on the bands d >= 0 of one matrix. :func:`_branch_passes` runs the
-operator sum rho_k = sum x x^dag over the branches x = K_k .. K_1 v, K a stay
-C or a move: far up the ladder c_n^2 ~ (pi / 8n)^2, so it keeps only the
-branches with at most F stays. :func:`_branch_stays` takes the smallest F with
-C(m, F+1) max(c_n^2)^(F+1) <= WINDOW_MASS_TOL, which bounds the trace those
-it drops hold, and picks the branch kernel where F < m, its row updates
-cost less than the band kernel's and it holds no more rows than the band
-kernel's block and scratch.
+2m-photon ladder states of :mod:`tpjc.sg`. The map keeps each band rho_{i,i+d}
+apart, so on the diagonal it is a closed chain, :func:`_diagonal_chain`, the one
+source of the final distribution. :func:`_passes` picks one of two kernels per run,
+which compute F only and own how rho is stored (float64 for coherent inputs).
+:func:`_band_passes` runs the map on the bands d >= 0 of one matrix.
+:func:`_branch_passes` runs the operator sum rho_k = sum x x^dag over the branches
+x = K_k .. K_1 v, K a stay C or a move: far up the ladder c_n^2 ~ (pi / 8n)^2, so
+it keeps only the branches with at most F stays. :func:`_branch_stays` takes the
+smallest F with C(m, F+1) max(c_n^2)^(F+1) <= WINDOW_MASS_TOL, which bounds the
+trace those it drops hold, and picks the branch kernel where F < m and, against the
+band kernel, its row updates cost less and it holds no more rows than block and scratch.
 """
 
 from __future__ import annotations
@@ -199,38 +199,34 @@ def pass_subtract(rho: DensityMatrix) -> DensityMatrix:
 BAND_BLOCK = 32
 
 
-def _band_passes(v, p, lo: int, m: int, mode: Mode, c, s) -> tuple[np.ndarray, np.ndarray]:
-    """F(0..m) and the final diagonal on 0 .. N-1 of m passes from rho = |v><v|
-    with diagonal ``p`` on the Fock window [lo, N) of W = N - lo levels, whose
-    C and S are ``c`` and ``s``. rho is held as its bands b_d(i) = rho_{i,i+d},
-    d >= 0 (a pass keeps i - j), BAND_BLOCK at a time, each entry rounded as
-    :func:`_full_pass` rounds it: float64 R, rho_ij = e^{i(psi_i - psi_j)} R_ij,
-    when v's phases pass ``_has_phase_ramp`` (coherent states, even and odd
-    cats), else complex.
-    Pass k is scored against one base vector (|v| on the real path, zero off
-    [lo, N), 2m levels past each window end) shifted 2k up (ADD) or down: the
-    k-step ladder state but for its norm and its phases i^k (-1)^(jk), (-1)^(dk)
-    on band d. v holds < WINDOW_MASS_TOL below lo, where an ADD target reads
-    zeros. What a pass pushes past a band's end never flows back; there an ADD
-    target reads v's top levels (<= tail_tol), against entries the pre-pass
-    guard bounds by 2m tail_tol^2: F cannot see either.
+def _band_passes(amps, m: int, mode: Mode, c, s) -> np.ndarray:
+    """F(0..m) of m passes from rho = |a><a| on a Fock window of W levels, a =
+    ``amps``, whose C and S are ``c`` and ``s``. rho is held as its bands
+    b_d(i) = rho_{i,i+d}, d >= 0 (a pass keeps i - j), BAND_BLOCK at a time,
+    each entry rounded as :func:`_full_pass` rounds it: float64 R, rho_ij =
+    e^{i(psi_i - psi_j)} R_ij, when ``amps`` is |v| (:func:`_passes` hands |v|
+    where v's phases pass ``_has_phase_ramp``), else complex.
+    Pass k is scored against one base vector (``amps``, zero off the window, 2m
+    levels past each end) shifted 2k up (ADD) or down: the k-step ladder state
+    but for its norm and its phases i^k (-1)^(jk), (-1)^(dk) on band d. v holds
+    < WINDOW_MASS_TOL below the window, where an ADD target reads zeros. What a
+    pass pushes past a band's end never flows back; there an ADD target reads
+    v's top levels (<= tail_tol), against entries the pre-pass guard bounds by
+    2m tail_tol^2: F cannot see either.
     """
-    width = p.size - lo
-    amps = np.abs(v[lo:]) if _has_phase_ramp(v) else v[lo:]
-    base = np.pad(amps, (2 * m, 2 * m + BAND_BLOCK))  # base[2m + t] is v at level lo + t
+    width = amps.size
+    base = np.pad(amps, (2 * m, 2 * m + BAND_BLOCK))  # base[2m + t] is a_t
     c, s = (np.pad(a, (0, BAND_BLOCK - 1)) for a in (c, s))
     # row q of a view is its vector from q on; block d0 reads columns d0:
     c_v, s_v, shifts = (np.lib.stride_tricks.sliding_window_view(a, width) for a in (c, s, base))
     scores = np.zeros((m + 1, -(-width // BAND_BLOCK)))  # F(k)'s share from each block
     block, scratch = np.empty((2, BAND_BLOCK * width), dtype=base.dtype)
-    for j, d0 in enumerate(reversed(range(0, width, BAND_BLOCK))):  # band 0's block last
+    for j, d0 in enumerate(reversed(range(0, width, BAND_BLOCK))):  # this order fixes F's sums and the pins
         n = width - d0  # row r of a block is band d0 + r on i < n, and c_d's row r is c_{i+d0+r}
         c_d, s_d = c_v[:, d0:], s_v[:, d0:]
         x, moved = (a[: BAND_BLOCK * n].reshape(BAND_BLOCK, n) for a in (block, scratch))
         np.multiply(np.conj(shifts[2 * m : 2 * m + BAND_BLOCK, d0:], out=x), shifts[2 * m, :n], out=x)
-        weight = np.full(BAND_BLOCK, 2.0)  # band -d is conj(band d)
-        if d0 == 0:  # |c|^2 as initial_dist has it: the complex path's conj(c) c can be an ulp off
-            x[0], weight[0] = p[lo:], 1.0
+        weight = np.where(d0 + np.arange(BAND_BLOCK), 2.0, 1.0)  # band -d is conj(band d); band 0 counts once
         odd = weight * (-1.0) ** (d0 + np.arange(BAND_BLOCK))  # odd k's (-1)^(dk)
         # the shift-add on the flat block, so numpy buffers nothing; the two entries
         # a row pushes past its end are zeroed, as they would carry into the next row
@@ -248,30 +244,21 @@ def _band_passes(v, p, lo: int, m: int, mode: Mode, c, s) -> tuple[np.ndarray, n
             t = 2 * (m - k if mode is Mode.ADD else m + k)  # target k is shifts[t, :n] = base[t : t + n]
             np.multiply(x, shifts[t : t + BAND_BLOCK, d0:], out=moved)
             scores[k, j] = (odd if k % 2 else weight) @ (moved @ shifts[t, :n].conj()).real
-    return scores.sum(axis=1), np.pad(x[0].real, (lo, 0))
+    return scores.sum(axis=1)
 
 
-def _column_squares(rows) -> np.ndarray:
-    """sum_r |rows[r, i]|^2 for each column i; squares ``rows`` in place."""
-    flat = rows.view(np.float64)  # a complex entry is its two floats side by side
-    np.square(flat, out=flat)
-    return flat.sum(axis=0).reshape(rows.shape[1], -1).sum(axis=1)
-
-
-def _branch_passes(v, lo: int, m: int, mode: Mode, c, s, stays: int) -> tuple[np.ndarray, np.ndarray]:
-    """What :func:`_band_passes` returns, from the branches x = K_k .. K_1 v with at
+def _branch_passes(amps, m: int, mode: Mode, c, s, stays: int) -> np.ndarray:
+    """What :func:`_band_passes` returns, from the branches x = K_k .. K_1 a with at
     most ``stays`` stays K = C; every other K is a move, V^dag^2 S (ADD) or V^2 S.
-    rho_k = sum x x^dag, so F(k) sums |<t_k|x>|^2 over the k-pass branches and the
-    final diagonal sums |x|^2. Each branch is one row over the window, of |v| on
-    the real path (a pass keeps the phase ramp, so each target overlap's phase is
-    one constant). A row with a moves keeps level i at i -+ 2a, so a move or a stay
-    multiplies it in place by a shifted view of S or C. Branches run depth-first
-    over their first stay and, below it, pass by pass, in one buffer per stay
-    count f of C(m-1, f-1) rows. What a move pushes out of the window is dropped,
-    as the band kernel drops it.
+    rho_k = sum x x^dag, so F(k) sums |<t_k|x>|^2 over the k-pass branches. Each
+    branch is one row over the window, of |v| on the real path (a pass keeps the
+    phase ramp, so each target overlap's phase is one constant). A row with a moves
+    keeps level i at i -+ 2a, so a move or a stay multiplies it in place by a
+    shifted view of S or C. Branches run depth-first over their first stay and,
+    below it, pass by pass, in one buffer per stay count f of C(m-1, f-1) rows.
+    What a move pushes out of the window is dropped, as the band kernel drops it.
     """
-    width = v.size - lo
-    amps = np.abs(v[lo:]) if _has_phase_ramp(v) else v[lo:]
+    width = amps.size
     up = 1 if mode is Mode.ADD else -1
     s = s.copy()
     s[slice(-2, None) if mode is Mode.ADD else slice(0, 2)] = 0.0  # these move out of the window
@@ -289,7 +276,6 @@ def _branch_passes(v, lo: int, m: int, mode: Mode, c, s, stays: int) -> tuple[np
         scores[k] += np.vdot(overlaps, overlaps).real
 
     scores = np.zeros(m + 1)
-    diagonal = np.zeros(base.size)
     bufs = [np.empty((math.comb(m - 1, f), width), dtype=amps.dtype) for f in range(stays)]
     moves = amps.copy()[None]  # the branch with no stay
     score(moves, 0, 0)
@@ -306,12 +292,22 @@ def _branch_passes(v, lo: int, m: int, mode: Mode, c, s, stays: int) -> tuple[np
                         counts[f - 1] = n + counts[f - 2]
                         np.multiply(bufs[f - 2][: counts[f - 2]], c[frame(k - f)], out=buf[n : counts[f - 1]])
                     score(buf[: counts[f - 1]], k, f)
-            for f, n in enumerate(counts, start=1):
-                diagonal[frame(m - f)] += _column_squares(bufs[f - 1][:n])
         moves *= s[frame(first - 1)]
         score(moves, first, 0)
-    diagonal[frame(m)] += _column_squares(moves)
-    return scores, np.pad(diagonal[pad : pad + width], (lo, 0))
+    return scores
+
+
+def _diagonal_chain(p, m: int, mode: Mode, c, s) -> np.ndarray:
+    """rho's diagonal after m passes from diagonal ``p`` on a window with C, S = ``c``, ``s``.
+    A pass keeps each band apart, so this is the chain p'_i = c_i^2 p_i + s_{i-+2}^2 p_{i-+2}
+    (the micromaser photon-number rate equation), in O(m W), rounded as :func:`_full_pass`
+    rounds rho_ii; what a pass pushes out of the window is dropped."""
+    to, fro = (np.s_[2:], np.s_[:-2]) if mode is Mode.ADD else (np.s_[:-2], np.s_[2:])
+    for _ in range(m):
+        moved = p * s * s
+        p = p * c * c
+        p[to] += moved[fro]
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -363,14 +359,18 @@ def _branch_stays(q: float, m: int, width: int) -> int | None:
 
 
 def _passes(v, p, lo: int, m: int, mode: Mode) -> tuple[np.ndarray, np.ndarray]:
-    """F(0..m) and the final diagonal on 0 .. N-1 of m passes from |v><v| on the
-    window [lo, N) of ``p``, the initial diagonal: by :func:`_branch_passes` where
-    :func:`_branch_stays` certifies it and finds it cheaper, else by :func:`_band_passes`."""
+    """F(0..m) and the final diagonal on 0 .. N-1 of m passes from |v><v| on the window
+    [lo, N) of ``p``, the initial diagonal. F is scored on the window's |v| where it has a
+    phase ramp, by :func:`_branch_passes` where :func:`_branch_stays` certifies it and finds
+    it cheaper, else by :func:`_band_passes`; the diagonal is :func:`_diagonal_chain`'s."""
     c, s = _pass_diagonals(lo, p.size, mode)
+    amps = np.abs(v[lo:]) if _has_phase_ramp(v[lo:]) else v[lo:]
     stays = _branch_stays(float(np.max(c * c)), m, p.size - lo)
     if stays is None:
-        return _band_passes(v, p, lo, m, mode, c, s)
-    return _branch_passes(v, lo, m, mode, c, s, stays)
+        scores = _band_passes(amps, m, mode, c, s)
+    else:
+        scores = _branch_passes(amps, m, mode, c, s, stays)
+    return scores, np.pad(_diagonal_chain(p[lo:], m, mode, c, s), (lo, 0))
 
 
 # Largest ||c - |c| e^{i psi}|| (psi_{j+2} - psi_j constant) that the float64

@@ -416,8 +416,9 @@ def test_protocol_equals_loop_over_public_passes(mode):
     # The band kernel scores each pass band by band, block by block, which
     # sums in another order than fidelity's, so F may differ by 2 ulp of 1.
     # At real alpha both paths round the distribution alike; at complex
-    # alpha the kernel's real bands drop the phases, which moves the
-    # distribution by about 1 ulp and the mean and Q by a few ulp of the mean.
+    # alpha the diagonal chain starts from |c|^2, where the loop's rho holds
+    # conj(c) c, which moves the distribution by about 1 ulp and the mean and
+    # Q by a few ulp of the mean.
     m = 6
     for alpha in (3.0, 2.5 + 1.5j):
         psi = make_coherent(alpha, default_dim(alpha, 2 * m))
@@ -497,6 +498,12 @@ def protocol_window(psi, m, mode):
     p = fock_distribution(psi)
     lo = dynamics.window_start(int(np.argmax(np.cumsum(p) > dynamics.WINDOW_MASS_TOL)), m, mode)
     return (p, lo, *dynamics._pass_diagonals(lo, psi.dim, mode))
+
+
+def window_amps(psi, lo):
+    """The amplitudes _passes hands either kernel: |psi| on [lo, N) on the real path."""
+    v = psi.amps[lo:]
+    return np.abs(v) if dynamics._has_phase_ramp(v) else v
 
 
 # The path rule replaced: the band kernel, or the branch kernel with every history.
@@ -587,10 +594,10 @@ def test_branch_kernel_matches_band_kernel_where_it_drops_histories(mode, alpha)
     p, lo, c, s = protocol_window(psi, m, mode)
     stays = smallest_certified_stays(float(np.max(c * c)), m)
     assert 2 <= stays <= 4
-    band = dynamics._band_passes(psi.amps, p, lo, m, mode, c, s)
-    branch = dynamics._branch_passes(psi.amps, lo, m, mode, c, s, stays)
-    np.testing.assert_allclose(branch[0], band[0], rtol=0, atol=1e-15)
-    np.testing.assert_allclose(branch[1], band[1], rtol=0, atol=1e-16)
+    amps = window_amps(psi, lo)
+    band = dynamics._band_passes(amps, m, mode, c, s)
+    branch = dynamics._branch_passes(amps, m, mode, c, s, stays)
+    np.testing.assert_allclose(branch, band, rtol=0, atol=1e-15)
 
 
 def branch_rows(m, stays):
@@ -676,13 +683,86 @@ def test_coherent_states_run_real_up_to_the_memory_budget():
         assert dynamics._has_phase_ramp(psi.amps)
 
 
-def test_subtract_sweep_keeps_mass_on_the_dark_vacuum():
+def test_subtract_chain_keeps_mass_on_the_dark_vacuum():
     # at lo = 0 all the mass on the bottom level |0>, where S' vanishes, stays put
-    v = np.zeros(8, dtype=complex)
-    v[0] = 1.0
+    p = np.zeros(8)
+    p[0] = 1.0
     c, s = dynamics._pass_diagonals(0, 8, Mode.SUBTRACT)
-    _, diagonal = dynamics._band_passes(v, np.abs(v) ** 2, 0, 1, Mode.SUBTRACT, c, s)
-    assert diagonal[0] == 1.0
+    for m in (1, 5):
+        assert np.array_equal(dynamics._diagonal_chain(p, m, Mode.SUBTRACT, c, s), p)
+
+
+def assert_chain_is_the_dense_diagonal(psi, m, mode):
+    # the chain from rho_0's diagonal, on the whole space, after every pass
+    rho = pure_density(psi)
+    p = np.diagonal(rho.elems).real
+    c, s = dynamics._pass_diagonals(0, psi.dim, mode)
+    for k in range(1, m + 1):
+        rho = dynamics._full_pass(rho, mode)
+        assert np.array_equal(dynamics._diagonal_chain(p, k, mode, c, s), np.diagonal(rho.elems).real)
+
+
+@pytest.mark.parametrize(
+    "make_state, real",
+    [
+        (lambda dim: make_coherent(3.0, dim), True),
+        (lambda dim: make_coherent(2.5 * cmath.exp(1.1j), dim), True),
+        (lambda dim: random_phase_state(dim), False),
+    ],
+    ids=["real-alpha", "complex-alpha", "random-phase"],
+)
+@pytest.mark.parametrize("mode", [Mode.ADD, Mode.SUBTRACT])
+def test_diagonal_chain_is_the_dense_passes_diagonal(mode, make_state, real):
+    m = 8
+    psi = make_state(default_dim(4.0, 2 * m))
+    assert dynamics._has_phase_ramp(psi.amps) is real
+    assert_chain_is_the_dense_diagonal(psi, m, mode)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.floats(0.5, 3.0),
+    st.floats(0.0, 2.0 * math.pi),
+    st.integers(0, 8),
+    st.sampled_from(list(Mode)),
+    st.booleans(),
+)
+def test_diagonal_chain_is_the_dense_passes_diagonal_at_small_alpha(r, phase, m, mode, real):
+    # off the real path the phases are random, so no ramp survives
+    alpha = r * cmath.exp(1j * phase)
+    psi = make_coherent(alpha, default_dim(alpha, 2 * m))
+    if not real:
+        rng = np.random.default_rng(m)
+        psi = FockVector(psi.amps * np.exp(2j * np.pi * rng.random(psi.dim)))
+    assert_chain_is_the_dense_diagonal(psi, m, mode)
+
+
+@pytest.mark.parametrize("mode", [Mode.ADD, Mode.SUBTRACT], ids=["scale_add", "scale_subtract"])
+def test_distribution_does_not_depend_on_the_kernel(mode):
+    # the chain is the one source of the final distribution, so the band kernel
+    # and the branch kernel with every history give the same bytes; F sums in
+    # another order on each
+    alpha = 45.0 * cmath.exp(1j * SCALE_PHASE)
+    psi = make_coherent(alpha, default_dim(alpha, 20 if mode is Mode.ADD else 0))
+    band, branch = (forced_run(psi, 10, mode, kernel) for kernel in FORCED_STAYS)
+    assert np.array_equal([q for _, q in branch.final_dist], [q for _, q in band.final_dist])
+    assert branch.mean_photon_final == band.mean_photon_final
+    assert branch.mandel_q_final == band.mandel_q_final
+    np.testing.assert_allclose(
+        [f for _, f in branch.fidelity_series], [f for _, f in band.fidelity_series], rtol=0, atol=4.4e-16
+    )
+
+
+def test_phase_ramp_is_checked_on_the_window(monkeypatch):
+    # at scale_add's input the window is W = 896 of N = 2519 levels, and the
+    # check reads the window alone, so it costs O(W), not O(N)
+    alpha = 45.0 * cmath.exp(1j * SCALE_PHASE)
+    psi = make_coherent(alpha, default_dim(alpha, 20))
+    has_phase_ramp = dynamics._has_phase_ramp
+    sizes = []
+    monkeypatch.setattr(dynamics, "_has_phase_ramp", lambda v: sizes.append(v.size) or has_phase_ramp(v))
+    run_protocol(psi, 10, Mode.ADD)
+    assert (psi.dim, sizes) == (2519, [896])
 
 
 def test_protocol_builds_each_strided_view_once(monkeypatch):
@@ -702,18 +782,21 @@ def test_protocol_allocates_no_window_square_array():
     # at |alpha| = 45, m = 10 the add window is W = 896 of N = 2519 levels; the
     # bands, BAND_BLOCK at a time, and the one base vector the targets are
     # shifted views of stay under half of one float64 W x W array. The branch
-    # kernel the run takes holds 47 rows of W, no more than the band kernel's 64
+    # kernel the run takes holds 47 rows of W, no more than the band kernel's 64,
+    # and the diagonal chain a few vectors of W
     m = 10
     psi = make_coherent(45.0, default_dim(45.0, 2 * m))
     p, lo, c, s = protocol_window(psi, m, Mode.ADD)
     width = psi.dim - lo
     assert width == 896
     stays = dynamics._branch_stays(float(np.max(c * c)), m, width)
+    amps = window_amps(psi, lo)
     peaks = {}
     for name, run in [
         ("run_protocol", lambda: run_protocol(psi, m, Mode.ADD)),
-        ("band", lambda: dynamics._band_passes(psi.amps, p, lo, m, Mode.ADD, c, s)),
-        ("branch", lambda: dynamics._branch_passes(psi.amps, lo, m, Mode.ADD, c, s, stays)),
+        ("band", lambda: dynamics._band_passes(amps, m, Mode.ADD, c, s)),
+        ("branch", lambda: dynamics._branch_passes(amps, m, Mode.ADD, c, s, stays)),
+        ("chain", lambda: dynamics._diagonal_chain(p[lo:], m, Mode.ADD, c, s)),
     ]:
         tracemalloc.start()
         try:
@@ -724,6 +807,7 @@ def test_protocol_allocates_no_window_square_array():
     assert peaks["run_protocol"] < width * width * 8 / 2
     assert peaks["band"] < width * width * 8 / 2
     assert peaks["branch"] <= peaks["band"]
+    assert peaks["chain"] < 8 * width * 8
 
 
 def test_protocol_stores_no_target_per_pass():
@@ -762,12 +846,7 @@ def _edge_mass_before_each_pass(psi, m, mode):
     p, edges = p0[lo:], []
     for _ in range(m):
         edges.append(p[-2:].sum() if mode is Mode.ADD else p[:2].sum())
-        moved = s * s * p
-        p = c * c * p
-        if mode is Mode.ADD:
-            p[2:] += moved[:-2]
-        else:
-            p[:-2] += moved[2:]
+        p = dynamics._diagonal_chain(p, 1, mode, c, s)
     return lo, edges
 
 

@@ -134,7 +134,8 @@ def test_no_run_path_function_takes_a_tolerance():
 
 # How the pass kernels store rho: the band kernel's block size, their C and S,
 # the real-path choice and the padding of their base vector, the kernels
-# themselves and the rule that picks one. run_protocol hands _passes psi0, p and lo.
+# themselves, the diagonal chain beside them and the rule that picks a kernel.
+# run_protocol hands _passes psi0, p and lo.
 KERNEL_STORAGE = {
     "BAND_BLOCK",
     "_pass_diagonals",
@@ -143,6 +144,7 @@ KERNEL_STORAGE = {
     "_band_passes",
     "_branch_passes",
     "_branch_stays",
+    "_diagonal_chain",
 }
 
 
