@@ -20,15 +20,16 @@ reduces to the exact field-only maps :func:`pass_add` / :func:`pass_subtract`.
 against psi0 shifted by 2k over its norm: m passes approximate the ideal
 2m-photon ladder states of :mod:`tpjc.sg`. The map keeps each band rho_{i,i+d}
 apart, so on the diagonal it is a closed chain, :func:`_diagonal_chain`, the one
-source of the final distribution. :func:`_passes` picks one of two kernels per run,
-which compute F only and own how rho is stored (float64 for coherent inputs).
-:func:`_band_passes` runs the map on the bands d >= 0 of one matrix.
+source of the final distribution. Every map takes C and S from :func:`_pass_diagonals`,
+whose S drops what a pass pushes out of the window. :func:`_passes` picks one of two
+kernels per run, which compute F only and own how rho is stored (float64 for coherent
+inputs). :func:`_band_passes` runs the map on the bands d >= 0 of one matrix.
 :func:`_branch_passes` runs the operator sum rho_k = sum x x^dag over the branches
 x = K_k .. K_1 v, K a stay C or a move: far up the ladder c_n^2 ~ (pi / 8n)^2, so
 it keeps only the branches with at most F stays. :func:`_branch_stays` takes the
 smallest F with C(m, F+1) max(c_n^2)^(F+1) <= WINDOW_MASS_TOL, which bounds the
-trace those it drops hold, and picks the branch kernel where F < m and, against the
-band kernel, its row updates cost less and it holds no more rows than block and scratch.
+trace those it drops hold (none at F = m), and picks the branch kernel where, against
+the band kernel, its row updates cost less and it holds no more rows than block and scratch.
 """
 
 from __future__ import annotations
@@ -150,9 +151,13 @@ def evolve_oracle(state: np.ndarray, gt: float, eig: tuple[np.ndarray, np.ndarra
 
 def _pass_diagonals(lo: int, dim: int, mode: Mode) -> tuple[np.ndarray, np.ndarray]:
     """C, S at gt = pi (g cancels) on the levels n = lo .. dim-1: angle
-    Omega(n) t for ADD, Omega(n-2) t for SUBTRACT."""
+    Omega(n) t for ADD, Omega(n-2) t for SUBTRACT. S is zero on the two levels
+    whose move leaves the window, the top two for ADD and the bottom two for
+    SUBTRACT, so every map built on it drops what a pass pushes out of [lo, dim)."""
     theta = rabi_angle(lo + np.arange(dim - lo) - (0 if mode is Mode.ADD else 2), np.pi)
-    return np.cos(theta), np.sin(theta)
+    s = np.sin(theta)
+    s[slice(-2, None) if mode is Mode.ADD else slice(0, 2)] = 0.0
+    return np.cos(theta), s
 
 
 def _full_pass(rho: DensityMatrix, mode: Mode) -> DensityMatrix:
@@ -209,10 +214,8 @@ def _band_passes(amps, m: int, mode: Mode, c, s) -> np.ndarray:
     Pass k is scored against one base vector (``amps``, zero off the window, 2m
     levels past each end) shifted 2k up (ADD) or down: the k-step ladder state
     but for its norm and its phases i^k (-1)^(jk), (-1)^(dk) on band d. v holds
-    < WINDOW_MASS_TOL below the window, where an ADD target reads zeros. What a
-    pass pushes past a band's end never flows back; there an ADD target reads
-    v's top levels (<= tail_tol), against entries the pre-pass guard bounds by
-    2m tail_tol^2: F cannot see either.
+    < WINDOW_MASS_TOL below the window, where an ADD target reads zeros. S drops
+    what leaves the window, so entries past a band's end stay zero.
     """
     width = amps.size
     base = np.pad(amps, (2 * m, 2 * m + BAND_BLOCK))  # base[2m + t] is a_t
@@ -228,16 +231,14 @@ def _band_passes(amps, m: int, mode: Mode, c, s) -> np.ndarray:
         np.multiply(np.conj(shifts[2 * m : 2 * m + BAND_BLOCK, d0:], out=x), shifts[2 * m, :n], out=x)
         weight = np.where(d0 + np.arange(BAND_BLOCK), 2.0, 1.0)  # band -d is conj(band d); band 0 counts once
         odd = weight * (-1.0) ** (d0 + np.arange(BAND_BLOCK))  # odd k's (-1)^(dk)
-        # the shift-add on the flat block, so numpy buffers nothing; the two entries
-        # a row pushes past its end are zeroed, as they would carry into the next row
-        out_of_row = np.s_[:, n - 2 :] if mode is Mode.ADD else np.s_[:, :2]
+        # the shift-add on the flat block, so numpy buffers nothing: S is zero on
+        # the two entries a row would push past its end, into the next row
         flat_x, flat_moved = block[: BAND_BLOCK * n], scratch[: BAND_BLOCK * n]
         to, fro = (flat_x[2:], flat_moved[:-2]) if mode is Mode.ADD else (flat_x[:-2], flat_moved[2:])
         for k in range(m + 1):
             if k:
                 np.multiply(x, s[:n], out=moved)
                 moved *= s_d
-                moved[out_of_row] = 0.0
                 x *= c[:n]
                 x *= c_d
                 to += fro
@@ -256,12 +257,10 @@ def _branch_passes(amps, m: int, mode: Mode, c, s, stays: int) -> np.ndarray:
     keeps level i at i -+ 2a, so a move or a stay multiplies it in place by a
     shifted view of S or C. Branches run depth-first over their first stay and,
     below it, pass by pass, in one buffer per stay count f of C(m-1, f-1) rows.
-    What a move pushes out of the window is dropped, as the band kernel drops it.
+    S is zero where a move would leave the window, so no row holds a level past it.
     """
     width = amps.size
     up = 1 if mode is Mode.ADD else -1
-    s = s.copy()
-    s[slice(-2, None) if mode is Mode.ADD else slice(0, 2)] = 0.0  # these move out of the window
     pad = 2 * m  # level j of the window is entry pad + j of these
     c, s, base = (np.pad(a, pad) for a in (c, s, amps))
     # t_k on level j is i^k (-1)^(jk) v_{j -+ 2k}, and i^k drops out of |<t_k|x>|^2
@@ -301,7 +300,7 @@ def _diagonal_chain(p, m: int, mode: Mode, c, s) -> np.ndarray:
     """rho's diagonal after m passes from diagonal ``p`` on a window with C, S = ``c``, ``s``.
     A pass keeps each band apart, so this is the chain p'_i = c_i^2 p_i + s_{i-+2}^2 p_{i-+2}
     (the micromaser photon-number rate equation), in O(m W), rounded as :func:`_full_pass`
-    rounds rho_ii; what a pass pushes out of the window is dropped."""
+    rounds rho_ii; S drops what leaves the window."""
     to, fro = (np.s_[2:], np.s_[:-2]) if mode is Mode.ADD else (np.s_[:-2], np.s_[2:])
     for _ in range(m):
         moved = p * s * s
@@ -316,10 +315,10 @@ def _diagonal_chain(p, m: int, mode: Mode, c, s) -> np.ndarray:
 # Levels below the first index where the initial state's cumulative mass
 # exceeds this are left out of the simulated window. Dropping that much
 # mass moves fidelities, means and Q by less than double-precision rounding.
-# No pass checks the edges it pushes out: the diagonal moves two levels a pass,
-# so before pass k <= m a SUBTRACT window's bottom two hold at most this (mass
-# from below that index) if lo > 0 and are dark at lo = 0; sg._ladder_guard bounds
-# an ADD window's top two.
+# S drops what a pass pushes out of the window (_pass_diagonals), and no pass
+# checks how much: the diagonal moves two levels a pass, so before pass k <= m a
+# SUBTRACT window's bottom two hold at most this (mass from below that index) if
+# lo > 0 and are dark at lo = 0; sg._ladder_guard bounds an ADD window's top two.
 WINDOW_MASS_TOL = 1e-20
 
 
@@ -348,14 +347,13 @@ def _branch_stays(q: float, m: int, width: int) -> int | None:
     """
     band = m * (width + 1) / 2
     rows, held = m, 1  # the branch with no stay
-    for stays in range(m):
+    for stays in range(m + 1):  # C(m, m+1) = 0: F = m keeps every history
         if rows >= band or held > 2 * BAND_BLOCK:
             return None
         if math.comb(m, stays + 1) * q ** (stays + 1) <= WINDOW_MASS_TOL:
             return stays
         rows += math.comb(m + 1, stays + 2)  # the branches with stays + 1 stays, over all passes
         held += math.comb(m - 1, stays)  # the buffer of the branches with stays + 1 stays
-    return None
 
 
 def _passes(v, p, lo: int, m: int, mode: Mode) -> tuple[np.ndarray, np.ndarray]:

@@ -575,6 +575,57 @@ def test_kernels_match_full_space_at_small_alpha(r, phase, m, mode):
 SCALE_PHASE = random.Random(0).uniform(0.0, 2.0 * math.pi)
 
 
+def dense_window_scores(amps, lo, m, mode):
+    """F(0..m) of the pass map on the window [lo, lo + W) of ``amps``, as a dense
+    W x W loop whose C and S come from rabi_angle and whose moves drop by slicing
+    what leaves the window; pass k is scored against ``amps`` shifted 2k with
+    the ladder phases (-1)^(jk)."""
+    width = amps.size
+    theta = rabi_angle(lo + np.arange(width) - (0 if mode is Mode.ADD else 2), np.pi)
+    c, s = np.cos(theta), np.sin(theta)
+    rho = np.outer(amps, amps.conj())
+    scores = []
+    for k in range(m + 1):
+        if k:
+            moved = s[:, None] * rho * s
+            rho = c[:, None] * rho * c
+            if mode is Mode.ADD:
+                rho[2:, 2:] += moved[:-2, :-2]
+            else:
+                rho[:-2, :-2] += moved[2:, 2:]
+        target = np.zeros_like(amps)
+        if mode is Mode.ADD:
+            target[2 * k :] = amps[: width - 2 * k]
+        else:
+            target[: width - 2 * k] = amps[2 * k :]
+        target *= (-1.0) ** (k * np.arange(width))
+        scores.append(np.vdot(target, rho @ target).real)
+    return np.array(scores)
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+@pytest.mark.parametrize(
+    "mode, lo", [(Mode.ADD, 0), (Mode.ADD, 30), (Mode.SUBTRACT, 30)], ids=["add-0", "add-30", "subtract-30"]
+)
+def test_kernels_drop_what_leaves_the_window(mode, lo, real):
+    # mass on every level of the window, the two a pass pushes out included, and
+    # no pre-pass guard: both kernels run the dense window map, each with C and S
+    # read-only, so neither can move the edge S sets
+    width, m = 70, 4
+    rng = np.random.default_rng(width)
+    amps = 0.5 + rng.random(width)
+    amps /= np.linalg.norm(amps)
+    if not real:
+        amps = amps * np.exp(2j * np.pi * rng.random(width))
+    c, s = dynamics._pass_diagonals(lo, lo + width, mode)
+    c.flags.writeable = s.flags.writeable = False
+    expected = dense_window_scores(amps, lo, m, mode)
+    band = dynamics._band_passes(amps, m, mode, c, s)
+    branch = dynamics._branch_passes(amps, m, mode, c, s, m)
+    for scores in (band, branch):
+        np.testing.assert_allclose(scores, expected, rtol=0, atol=1e-14)
+
+
 def smallest_certified_stays(q, m):
     return next(f for f in range(m + 1) if math.comb(m, f + 1) * q ** (f + 1) <= dynamics.WINDOW_MASS_TOL)
 
@@ -610,12 +661,13 @@ def branch_rows(m, stays):
 @pytest.mark.parametrize("m", [1, 2, 10, 16, 50, 300])
 @pytest.mark.parametrize("width", [64, 896, 10**12])
 def test_branch_stays_is_the_smallest_certified_count_where_branches_cost_less(width, m):
-    # and where they hold no more rows than the band kernel's block and scratch
+    # and where they hold no more rows than the band kernel's block and scratch;
+    # any count up to F = m, where the branches are every history
     for q in [0.0, *np.logspace(-14.0, 0.0, 43)]:
         stays = smallest_certified_stays(q, m)
         updated, held = branch_rows(m, stays)
         fits = updated < m * (width + 1) / 2 and held <= 2 * dynamics.BAND_BLOCK
-        assert dynamics._branch_stays(q, m, width) == (stays if stays < m and fits else None)
+        assert dynamics._branch_stays(q, m, width) == (stays if stays <= m and fits else None)
 
 
 @pytest.mark.parametrize(
@@ -625,10 +677,11 @@ def test_branch_stays_is_the_smallest_certified_count_where_branches_cost_less(w
         (45.0 * cmath.exp(1j * SCALE_PHASE), 10, Mode.ADD, 3),
         (45.0 * cmath.exp(1j * SCALE_PHASE), 10, Mode.SUBTRACT, 3),
         (100.0 * cmath.exp(0.7j), 50, Mode.ADD, 2),
+        (100.0, 2, Mode.ADD, 2),  # F = m: every history
         # the certified F = 4 would hold 131 rows, over the band kernel's 64
         (20.0, 10, Mode.ADD, None),
     ],
-    ids=["add-5-7000", "scale_add", "scale_subtract", "add-100-50", "add-20-10"],
+    ids=["add-5-7000", "scale_add", "scale_subtract", "add-100-50", "add-100-2", "add-20-10"],
 )
 def test_path_rule_is_taken_without_a_pass(alpha, m, mode, stays):
     psi = make_coherent(alpha, default_dim(alpha, 2 * m if mode is Mode.ADD else 0))

@@ -1,11 +1,13 @@
 """Fock-space core: constructors, the annihilation operator, metrics."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from tpjc import (
+    AllMassRemoved,
     DensityMatrix,
     DimensionMismatch,
     FockVector,
@@ -205,6 +207,36 @@ def test_density_matrix_validation():
     assert abs(rho.trace() - 1.0) <= 1e-10
     assert rho.hermiticity_defect() <= 1e-10
     assert np.linalg.eigvalsh(rho.elems)[0] >= -1e-8
+
+
+@pytest.mark.parametrize("amps", [np.ones((2, 2)), np.ones(0)], ids=["2-d", "empty"])
+def test_vector_rejects_a_non_vector(amps):
+    message = f"FockVector needs a 1-d amplitude array of length >= 1, got shape {amps.shape}"
+    with pytest.raises(DimensionMismatch, match=f"^{re.escape(message)}$"):
+        FockVector(amps)
+
+
+def test_zero_vector_cannot_be_normalized():
+    with pytest.raises(AllMassRemoved, match=r"^cannot normalize a zero vector$"):
+        FockVector(np.zeros(4)).normalized()
+
+
+@pytest.mark.parametrize("elems", [np.ones((2, 3)), np.ones(4), np.ones((0, 0))], ids=["2x3", "1-d", "empty"])
+def test_density_matrix_rejects_a_non_square_array(elems):
+    message = f"DensityMatrix needs a square 2-d array, got shape {elems.shape}"
+    with pytest.raises(DimensionMismatch, match=f"^{re.escape(message)}$"):
+        DensityMatrix(elems)
+
+
+@pytest.mark.parametrize("n", [-1, 4])
+def test_fock_state_rejects_an_index_outside_the_space(n):
+    with pytest.raises(DimensionMismatch, match=rf"^Fock index {n} outside \[0, 4\)$"):
+        make_fock(n, 4)
+
+
+def test_coherent_state_rejects_an_empty_space():
+    with pytest.raises(DimensionMismatch, match=r"^dim must be >= 1$"):
+        make_coherent(1.0, 0)
 
 
 def test_tolerance_defaults():

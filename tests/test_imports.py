@@ -1,10 +1,12 @@
 """Static checks: every name a tpjc module or a test file imports is used
-in that file, every name the package exports is read by the program, no
+in that file, the package imports nothing but numpy and the standard
+library, every name the package exports is read by the program, no
 function but the coherent build and its guard takes a tolerance override,
 run_protocol leaves how rho is stored and which pass kernel runs to the
 kernels' entry point, and sg owns the ladder truncation decision."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -56,6 +58,42 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+# The runtime depends on numpy alone (pyproject.toml); scipy may be installed
+# where the tests run, so only this check sees a module reach for it.
+RUNTIME_MODULES = {"numpy", *sys.stdlib_module_names}
+
+
+def foreign_imports(source: str) -> list[str]:
+    """Modules ``source`` imports that are not relative, numpy or the standard library's."""
+    modules = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            modules.append(node.module)
+    return [name for name in modules if name.split(".")[0] not in RUNTIME_MODULES]
+
+
+def test_foreign_imports_are_found():
+    source = (
+        "from __future__ import annotations\n"
+        "import math, scipy.linalg\n"
+        "import numpy as np\n"
+        "from . import fock\n"
+        "from .sg import Mode\n"
+        "from numpy.lib import stride_tricks\n"
+        "from scipy import sparse\n"
+        "def f():\n"
+        "    import numba\n"
+    )
+    assert foreign_imports(source) == ["scipy.linalg", "scipy", "numba"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_package_imports_only_numpy_and_the_standard_library(path):
+    assert foreign_imports(path.read_text()) == []
 
 
 def read_names(source: str) -> set[str]:
