@@ -16,20 +16,21 @@ to cross-check the closed form.
 
 One protocol pass evolves for gt = pi and re-prepares the qubit, which
 reduces to the exact field-only maps :func:`pass_add` / :func:`pass_subtract`.
-:func:`run_protocol` picks the occupied Fock window [lo, N) and scores pass k
-against psi0 shifted by 2k over its norm: m passes approximate the ideal
-2m-photon ladder states of :mod:`tpjc.sg`. The map keeps each band rho_{i,i+d}
-apart, so on the diagonal it is a closed chain, :func:`_diagonal_chain`, the one
-source of the final distribution. Every map takes C and S from :func:`_pass_diagonals`,
-whose S drops what a pass pushes out of the window. :func:`_passes` picks one of two
-kernels per run, which compute F only and own how rho is stored (float64 for coherent
-inputs). :func:`_band_passes` runs the map on the bands d >= 0 of one matrix.
-:func:`_branch_passes` runs the operator sum rho_k = sum x x^dag over the branches
-x = K_k .. K_1 v, K a stay C or a move: far up the ladder c_n^2 ~ (pi / 8n)^2, so
-it keeps only the branches with at most F stays. :func:`_branch_stays` takes the
-smallest F with C(m, F+1) max(c_n^2)^(F+1) <= WINDOW_MASS_TOL, which bounds the
-trace those it drops hold (none at F = m), and picks the branch kernel where, against
-the band kernel, its row updates cost less and it holds no more rows than block and scratch.
+:func:`run_protocol` picks the occupied Fock window [lo, N), scores pass k
+against psi0 shifted by 2k over its norm, and reports distributions on the window
+alone: m passes approximate the ideal 2m-photon ladder states of :mod:`tpjc.sg`.
+The map keeps each band rho_{i,i+d} apart, so on the diagonal it is a closed chain,
+:func:`_diagonal_chain`, the one source of the final distribution. Every map takes C and S
+from :func:`_pass_diagonals`, whose S drops what a pass pushes out of the window.
+:func:`_passes` picks one of two kernels per run, which compute F only and own how rho
+is stored (float64 for coherent inputs). :func:`_band_passes` runs the map on the bands
+d >= 0 of one matrix. :func:`_branch_passes` runs the operator sum rho_k = sum x x^dag over
+the branches x = K_k .. K_1 v, K a stay C or a move: far up the ladder c_n^2 ~ (pi / 8n)^2,
+so it keeps only the branches with at most F stays. :func:`_stay_count` takes the smallest
+F whose dropped branches hold at most WINDOW_MASS_TOL of the trace after every pass, read
+exactly from the diagonal chain split by stay count, :func:`_stay_tails`, and only up to
+:func:`_stay_cap`, the largest F whose row updates cost less than the band kernel's and
+whose rows held at once are no more than its block and scratch.
 """
 
 from __future__ import annotations
@@ -334,41 +335,78 @@ def window_start(first: int, m: int, mode: Mode) -> int:
     return max(0, first - (2 * m if mode is Mode.SUBTRACT else 0))  # SUBTRACT moves mass down
 
 
-def _branch_stays(q: float, m: int, width: int) -> int | None:
-    """The stay count F of :func:`_branch_passes` for m passes on a window of
-    ``width`` levels whose largest c_n^2 is ``q``, or None where the band kernel
-    costs less or holds less. F is the smallest with C(m, F+1) q^(F+1) <=
-    WINDOW_MASS_TOL: the branches with more stays hold at most that much trace
-    after any pass, so no F and no level moves by more. The branches update
-    m + sum_{f=1..F} C(m+1, f+1) rows of W, the band kernel m (W+1)/2 per level;
-    they hold 1 + sum_{f<F} C(m-1, f) rows of W at once, the band kernel its
-    block and scratch, 2 BAND_BLOCK rows. F grows only while the branches cost
-    less and hold no more, so every count read as a float stays below that cost.
+def _stay_cap(m: int, width: int) -> int | None:
+    """The largest stay count F :func:`_branch_passes` may run for m passes on a window of
+    ``width`` levels, or None where F = 0 already fails. The branches with at most F stays
+    update m + sum_{f=1..F} C(m+1, f+1) rows of W, the band kernel m (W+1)/2 per level; they
+    hold 1 + sum_{f<F} C(m-1, f) rows of W at once, the band kernel its block and scratch,
+    2 BAND_BLOCK rows. F grows only while the branches cost less and hold no more, so every
+    count read as a float stays below that cost. F = m keeps every history.
     """
     band = m * (width + 1) / 2
-    rows, held = m, 1  # the branch with no stay
-    for stays in range(m + 1):  # C(m, m+1) = 0: F = m keeps every history
+    rows, held, cap = m, 1, None  # the branch with no stay
+    for stays in range(m + 1):
         if rows >= band or held > 2 * BAND_BLOCK:
-            return None
-        if math.comb(m, stays + 1) * q ** (stays + 1) <= WINDOW_MASS_TOL:
-            return stays
+            break
+        cap = stays
         rows += math.comb(m + 1, stays + 2)  # the branches with stays + 1 stays, over all passes
         held += math.comb(m - 1, stays)  # the buffer of the branches with stays + 1 stays
+    return cap
+
+
+def _stay_tails(p, m: int, mode: Mode, c, s, cap: int):
+    """After each of m passes from diagonal ``p`` on a window with C, S = ``c``, ``s``: the
+    trace of the histories with more than f stays, f = 0 .. cap. It is :func:`_diagonal_chain`
+    split by stay count: with T_f(n) the diagonal of those histories and T_{-1} = p, a stay
+    moves c_n^2 T_{f-1}(n) into T_f and a move keeps f, T'_f(n) = c_n^2 T_{f-1}(n) +
+    s_{n-+2}^2 T_f(n-+2). Rows T_{-1} .. T_cap are one (cap + 2) x W array, updated in
+    place beside one scratch of that size; S drops what leaves the window."""
+    width = p.size
+    c2, s2 = c * c, s * s
+    tails, moved = np.zeros((2, cap + 2, width))
+    tails[0] = p
+    flat, flat_moved = tails.reshape(-1), moved.reshape(-1)
+    # S is zero on the two entries a row would push past its end, into the next row
+    to, fro = (flat[2:], flat_moved[:-2]) if mode is Mode.ADD else (flat[:-2], flat_moved[2:])
+    for _ in range(m):
+        np.multiply(tails, s2, out=moved)
+        tails *= c2
+        flat[width:] = flat[:-width]  # a stay adds one: T_f takes T_{f-1}'s stays, T_{-1} keeps its own
+        to += fro
+        yield tails[1:].sum(axis=1)
+
+
+def _stay_count(p, m: int, mode: Mode, c, s) -> int | None:
+    """The stay count F of :func:`_branch_passes` for m passes from diagonal ``p`` on a window
+    with C, S = ``c``, ``s``, or None where the band kernel runs: F is the smallest count up to
+    :func:`_stay_cap` whose dropped histories hold at most WINDOW_MASS_TOL of the trace after
+    every pass (:func:`_stay_tails`). They sum to a positive semidefinite sum x x^dag of that
+    trace, so no F and no level moves by more. The chain stops once the histories with more
+    stays than the cap hold more."""
+    cap = _stay_cap(m, p.size)
+    if cap is None:
+        return None
+    worst = np.zeros(cap + 1)
+    for tails in _stay_tails(p, m, mode, c, s, cap):
+        if tails[-1] > WINDOW_MASS_TOL:
+            return None
+        np.maximum(worst, tails, out=worst)
+    return int(np.argmax(worst <= WINDOW_MASS_TOL))
 
 
 def _passes(v, p, lo: int, m: int, mode: Mode) -> tuple[np.ndarray, np.ndarray]:
-    """F(0..m) and the final diagonal on 0 .. N-1 of m passes from |v><v| on the window
-    [lo, N) of ``p``, the initial diagonal. F is scored on the window's |v| where it has a
-    phase ramp, by :func:`_branch_passes` where :func:`_branch_stays` certifies it and finds
-    it cheaper, else by :func:`_band_passes`; the diagonal is :func:`_diagonal_chain`'s."""
-    c, s = _pass_diagonals(lo, p.size, mode)
+    """F(0..m) and the final diagonal on the window [lo, N) of m passes from |v><v|, whose
+    diagonal on the window is ``p``. F is scored on the window's |v| where it has a phase ramp,
+    by :func:`_branch_passes` where :func:`_stay_count` certifies a stay count, else by
+    :func:`_band_passes`; the diagonal is :func:`_diagonal_chain`'s."""
+    c, s = _pass_diagonals(lo, lo + p.size, mode)
     amps = np.abs(v[lo:]) if _has_phase_ramp(v[lo:]) else v[lo:]
-    stays = _branch_stays(float(np.max(c * c)), m, p.size - lo)
+    stays = _stay_count(p, m, mode, c, s)
     if stays is None:
         scores = _band_passes(amps, m, mode, c, s)
     else:
         scores = _branch_passes(amps, m, mode, c, s, stays)
-    return scores, np.pad(_diagonal_chain(p[lo:], m, mode, c, s), (lo, 0))
+    return scores, _diagonal_chain(p, m, mode, c, s)
 
 
 # Largest ||c - |c| e^{i psi}|| (psi_{j+2} - psi_j constant) that the float64
@@ -389,7 +427,9 @@ def _has_phase_ramp(v: np.ndarray) -> bool:
 
 @dataclass(frozen=True)
 class ProtocolResult:
-    """Everything an experiment run records about one protocol execution."""
+    """Everything an experiment run records about one protocol execution. The two
+    distributions list the run's Fock window j = lo .. N-1, where psi0 held all but
+    WINDOW_MASS_TOL of its mass and the passes ran; the means and Q are theirs."""
 
     fidelity_series: list[tuple[int, float]]
     initial_dist: list[tuple[int, float]]
@@ -401,8 +441,8 @@ class ProtocolResult:
     warnings: list[str]
 
 
-def _dist_pairs(p: np.ndarray) -> list[tuple[int, float]]:
-    return list(enumerate(p.tolist()))
+def _dist_pairs(p: np.ndarray, lo: int) -> list[tuple[int, float]]:
+    return list(enumerate(p.tolist(), lo))
 
 
 def run_protocol(psi0: FockVector, m: int, mode: Mode) -> ProtocolResult:
@@ -412,7 +452,8 @@ def run_protocol(psi0: FockVector, m: int, mode: Mode) -> ProtocolResult:
     against the ideal ladder state with k steps from psi0, psi0 shifted by 2k
     levels over its norm (:mod:`tpjc.sg`); F(0) = 1. :func:`_passes` runs
     the passes on the Fock window [lo, N) of :func:`window_start`, from the
-    first index where psi0's cumulative mass exceeds ``WINDOW_MASS_TOL``. The
+    first index where psi0's cumulative mass exceeds ``WINDOW_MASS_TOL``, and
+    the result's distributions list that window. The
     run builds no ladder state: the m-step one's guards, checked on psi0 before
     any pass, are its one truncation decision. At a final mean photon number
     of 0 Mandel Q is undefined: ``mandel_q_final`` is None and a warning says so.
@@ -427,20 +468,21 @@ def run_protocol(psi0: FockVector, m: int, mode: Mode) -> ProtocolResult:
 
     p0 = fock_distribution(psi0)
     lo = window_start(int(np.argmax(np.cumsum(p0) > WINDOW_MASS_TOL)), m, mode)
-    scores, final_dist = _passes(psi0.amps, p0, lo, m, mode)
+    initial = p0[lo:]
+    scores, final = _passes(psi0.amps, initial, lo, m, mode)
     r = 1.0 / np.sqrt(1.0 - low)  # the k-step target is the shift over sqrt(1 - S_k)
     series = [(k, _unit_clamp(f)) for k, f in enumerate(scores * r * r)]
     try:
-        q_final = _mandel_q(final_dist)
+        q_final = _mandel_q(final, lo)
     except ZeroMeanPhoton:
         q_final = None
         warnings.append("protocol: final mean photon number is 0; Mandel Q is undefined")
     return ProtocolResult(
         fidelity_series=series,
-        initial_dist=_dist_pairs(p0),
-        final_dist=_dist_pairs(final_dist),
-        mean_photon_initial=_moments(p0)[0],
-        mean_photon_final=_moments(final_dist)[0],
+        initial_dist=_dist_pairs(initial, lo),
+        final_dist=_dist_pairs(final, lo),
+        mean_photon_initial=_moments(initial, lo)[0],
+        mean_photon_final=_moments(final, lo)[0],
         mandel_q_final=q_final,
         mandel_q_predicted=None,
         warnings=warnings,

@@ -11,9 +11,12 @@ byte-identical files.
 
 from __future__ import annotations
 
+import errno
 import json
 import math
+import os
 import sys
+import uuid
 from dataclasses import dataclass, fields, replace
 from decimal import Decimal
 from pathlib import Path
@@ -45,8 +48,9 @@ APPROX_TABLE_MAX_J = 200
 
 # Largest memory a run may need: W x W float64s, a conservative bound on the band run's
 # block, scratch and base vector, plus 96 B per level (about six complex arrays) for
-# make_coherent. Whole runs peak at 390-441 B per level, mostly N-row result lists and
-# output strings; the W^2 term, 7-8x that peak, covers them. Fixed, so host-independent.
+# make_coherent. The result lists and output strings hold W rows, so whole runs peak at
+# 96-116 B per level at |alpha| = 100-300, mostly make_coherent's arrays; the W^2 term is
+# 28-33x that peak. Fixed, so host-independent.
 MEMORY_BUDGET = 2 << 30
 
 
@@ -165,12 +169,17 @@ def _write_text(path: str | Path, text: str) -> None:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 
-def emit_json(result: ProtocolResult, path: str | Path) -> None:
+def _result_json(result: ProtocolResult) -> str:
     """Full result as JSON, one line per ProtocolResult field, in field order."""
     lines = ",\n".join(
         f"  {json.dumps(f.name)}: {json.dumps(getattr(result, f.name))}" for f in fields(result)
     )
-    _write_text(path, "{\n" + lines + "\n}\n")
+    return "{\n" + lines + "\n}\n"
+
+
+def emit_json(result: ProtocolResult, path: str | Path) -> None:
+    """Write :func:`_result_json` of ``result`` to ``path``."""
+    _write_text(path, _result_json(result))
 
 
 def _number(value, nullable: bool = False) -> float | None:
@@ -179,13 +188,21 @@ def _number(value, nullable: bool = False) -> float | None:
     raise TypeError(f"expected a number, got {value!r}")
 
 
+def _window_rows(initial: list, final: list) -> None:
+    """Raise ValueError unless both distributions list the same levels lo, lo + 1, ...:
+    the rows emit_json writes."""
+    levels = [j for j, _ in initial]
+    if not levels or levels != [j for j, _ in final] or levels != list(range(levels[0], levels[-1] + 1)):
+        raise ValueError("initial_dist and final_dist must list the same levels j = lo, lo + 1, ...")
+
+
 def load_result(path: str | Path) -> ProtocolResult:
     try:
         data = json.loads(Path(path).read_text())
         warnings = data["warnings"]
         if type(warnings) is not list or not all(type(w) is str for w in warnings):
             raise TypeError(f"warnings must be a list of strings, got {warnings!r}")
-        return ProtocolResult(
+        result = ProtocolResult(
             fidelity_series=[(_integer("k", k, 0), _number(f)) for k, f in data["fidelity_series"]],
             initial_dist=[(_integer("j", j, 0), _number(p)) for j, p in data["initial_dist"]],
             final_dist=[(_integer("j", j, 0), _number(p)) for j, p in data["final_dist"]],
@@ -195,10 +212,13 @@ def load_result(path: str | Path) -> ProtocolResult:
             mandel_q_predicted=_number(data["mandel_q_predicted"], nullable=True),
             warnings=warnings,
         )
+        _window_rows(result.initial_dist, result.final_dist)
+        return result
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
-    # ValueError: not JSON or a bad pair; RecursionError/OverflowError: nesting or a number
-    # past its limit; KeyError/TypeError/ConfigInvalid: a missing, mistyped or negative field
+    # ValueError: not JSON, a bad pair or rows off one window; RecursionError/OverflowError:
+    # nesting or a number past its limit; KeyError/TypeError/ConfigInvalid: a missing,
+    # mistyped or negative field
     except (ValueError, RecursionError, KeyError, TypeError, ConfigInvalid, OverflowError) as exc:
         raise IoFailure(f"{path} is not a valid result file: {exc!r}") from exc
 
@@ -216,14 +236,46 @@ def _csv(header: str, *columns) -> str:
     return header + "\n" + "\n".join(lines) + "\n"
 
 
+def _fidelity_csv(result: ProtocolResult) -> str:
+    return _csv("k,fidelity", *zip(*result.fidelity_series))
+
+
+def _distribution_csv(result: ProtocolResult) -> str:
+    j, p_initial = zip(*result.initial_dist)
+    _, p_final = zip(*result.final_dist)
+    return _csv("j,p_initial,p_final", j, p_initial, p_final)
+
+
 def emit_fidelity_csv(result: ProtocolResult, path: str | Path) -> None:
-    _write_text(path, _csv("k,fidelity", *zip(*result.fidelity_series)))
+    _write_text(path, _fidelity_csv(result))
 
 
 def emit_distribution_csv(result: ProtocolResult, path: str | Path) -> None:
-    j, p_initial = zip(*result.initial_dist)
-    _, p_final = zip(*result.final_dist)
-    _write_text(path, _csv("j,p_initial,p_final", j, p_initial, p_final))
+    _write_text(path, _distribution_csv(result))
+
+
+def _write_all(out: Path, texts: dict[str, str]) -> list[Path]:
+    """Write each text to its file in ``out``, all or nothing: each goes to a fresh temporary
+    file in ``out``, and only once all are written do renames replace the files. A name held
+    by a directory, onto which a rename would fail midway, fails before the first rename.
+    On a failure the temporaries are removed, and no file has changed."""
+    paths = [out / name for name in texts]
+    temps: list[Path] = []
+    try:
+        for path, text in zip(paths, texts.values()):
+            temps.append(path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp"))
+            with temps[-1].open("x") as f:  # created as write_text creates a file
+                f.write(text)
+        for path in paths:
+            if path.is_dir() and not path.is_symlink():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+        for temp, path in zip(temps, paths):
+            os.replace(temp, path)
+    except OSError as exc:
+        for temp in temps:
+            temp.unlink(missing_ok=True)
+        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    return paths
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +364,7 @@ def oracle_report_json(report: OracleReport) -> str:
 
 
 def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> tuple[ProtocolResult, list[Path]]:
-    """Execute the configured protocol and write its five files."""
+    """Execute the configured protocol and write its five files, all or nothing."""
     psi0 = make_coherent(config.alpha, config.dim)
     result = run_protocol(psi0, config.m, config.mode)
     # Q of the ideal m-step state. The closed form is exact for addition, a
@@ -327,18 +379,17 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> tuple[Proto
         q_predicted = None
     result = replace(result, mandel_q_predicted=q_predicted)
 
+    texts = {
+        "result.json": _result_json(result),
+        "fock_dist.csv": _distribution_csv(result),
+        "fidelity_series.csv": _fidelity_csv(result),
+        "mandel_q.json": _fields_json(result, "mandel_q_final", "mandel_q_predicted"),
+        "mean_photon.json": _fields_json(result, "mean_photon_initial", "mean_photon_final"),
+    }
     # only now, so a run that fails leaves no directory behind
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise IoFailure(f"cannot create output directory {out}: {exc}") from exc
-    names = ("result.json", "fock_dist.csv", "fidelity_series.csv", "mandel_q.json", "mean_photon.json")
-    written = [out / name for name in names]
-    result_json, dist_csv, fidelity_csv, q_json, mean_json = written
-    emit_json(result, result_json)
-    emit_distribution_csv(result, dist_csv)
-    emit_fidelity_csv(result, fidelity_csv)
-    _write_text(q_json, _fields_json(result, "mandel_q_final", "mandel_q_predicted"))
-    _write_text(mean_json, _fields_json(result, "mean_photon_initial", "mean_photon_final"))
-    return result, written
+    return result, _write_all(out, texts)

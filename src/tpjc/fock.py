@@ -204,8 +204,9 @@ def fock_distribution(state: FockVector | DensityMatrix) -> np.ndarray:
     return np.real(np.diag(state.elems)).copy()
 
 
-def _moments(p: np.ndarray) -> tuple[float, float]:
-    j = np.arange(p.size, dtype=float)
+def _moments(p: np.ndarray, start: int = 0) -> tuple[float, float]:
+    """First and second moments of the distribution ``p`` on the levels start, start + 1, ..."""
+    j = np.arange(start, start + p.size, dtype=float)
     return float(np.sum(j * p)), float(np.sum(j * j * p))
 
 

@@ -192,8 +192,8 @@ def mandel_q(state: FockVector | DensityMatrix) -> float:
     return _mandel_q(fock_distribution(state))
 
 
-def _mandel_q(p: np.ndarray) -> float:
-    mean, second = _moments(p)
+def _mandel_q(p: np.ndarray, start: int = 0) -> float:
+    mean, second = _moments(p, start)
     if mean == 0.0:
         raise ZeroMeanPhoton("Mandel Q undefined for zero mean photon number")
     variance = second - mean * mean

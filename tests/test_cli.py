@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 import tpjc
-from tpjc import dynamics
+from tpjc import dynamics, fock_distribution, make_coherent
 from tpjc.cli import main
-from tpjc.experiment import load_result
+from tpjc.experiment import emit_json, load_result, parse_config
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -219,6 +219,85 @@ def test_run_vacuum_reports_undefined_mandel_q(tmp_path, capsys):
     assert loaded.mandel_q_final is None
     assert loaded.mandel_q_predicted is None
     assert loaded.mean_photon_final == 0.0
+
+
+@pytest.mark.parametrize(
+    "data",
+    [{"alpha": 100, "mode": "add", "m": 50}, {"alpha": [36, 27], "mode": "subtract", "m": 10}],
+    ids=["add-100-50", "subtract-45-10"],
+)
+def test_run_writes_the_rows_of_its_window(tmp_path, capsys, data):
+    # both distributions list j = lo .. N-1, the window the passes ran on, and
+    # psi0 holds at most WINDOW_MASS_TOL of its mass below it
+    out_dir = tmp_path / "out"
+    assert main(["run", str(write_config(tmp_path, **data)), "--out", str(out_dir)]) == 0
+    config = parse_config(data)
+    p = fock_distribution(make_coherent(config.alpha, config.dim))
+    lo = dynamics.window_start(int(np.argmax(np.cumsum(p) > dynamics.WINDOW_MASS_TOL)), config.m, config.mode)
+    assert lo > 0 and np.sum(p[:lo]) <= dynamics.WINDOW_MASS_TOL
+    levels = list(range(lo, config.dim))
+    on_disk = json.loads((out_dir / "result.json").read_text())
+    assert [j for j, _ in on_disk["initial_dist"]] == [j for j, _ in on_disk["final_dist"]] == levels
+    csv_rows = (out_dir / "fock_dist.csv").read_text().splitlines()[1:]
+    assert [int(row.split(",")[0]) for row in csv_rows] == levels
+    result = load_result(out_dir / "result.json")
+    assert result.initial_dist == list(zip(levels, p[lo:].tolist()))
+    emit_json(result, tmp_path / "again.json")
+    assert (tmp_path / "again.json").read_bytes() == (out_dir / "result.json").read_bytes()
+
+
+OUTPUT_NAMES = ("result.json", "fock_dist.csv", "fidelity_series.csv", "mandel_q.json", "mean_photon.json")
+
+
+def failing_write(monkeypatch, name):
+    """Make writing ``name``'s temporary file fail, once it exists, as on a full disk."""
+    real_open = Path.open
+
+    def open_then_fail(self, mode="r", *args, **kwargs):
+        handle = real_open(self, mode, *args, **kwargs)
+        if self.name.startswith(f".{name}.") and "x" in mode:
+            handle.close()
+            raise OSError(28, "No space left on device")
+        return handle
+
+    monkeypatch.setattr(Path, "open", open_then_fail)
+
+
+@pytest.mark.parametrize("how", ["write-fails", "name-is-a-directory"])
+@pytest.mark.parametrize("name", OUTPUT_NAMES)
+def test_run_outputs_land_all_or_nothing(tmp_path, capsys, monkeypatch, name, how):
+    # a failure on any one of the five files leaves the previous run's five as they
+    # were (the one a directory holds stays that directory) and no temporary behind
+    out_dir = tmp_path / "out"
+    assert main(["run", str(write_config(tmp_path, m=2)), "--out", str(out_dir)]) == 0
+    if how == "write-fails":
+        failing_write(monkeypatch, name)
+    else:
+        (out_dir / name).unlink()
+        (out_dir / name).mkdir()
+    before = {f.name: f.read_bytes() for f in out_dir.iterdir() if f.is_file()}
+    capsys.readouterr()
+    assert main(["run", str(write_config(tmp_path, m=1)), "--out", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"error: cannot write {out_dir / name}: ")
+    assert {f.name: f.read_bytes() for f in out_dir.iterdir() if f.is_file()} == before
+    assert sorted(f.name for f in out_dir.iterdir()) == sorted(OUTPUT_NAMES)
+
+
+def test_run_over_previous_outputs_writes_a_fresh_runs_bytes(tmp_path):
+    # the five files replace the previous run's, as a fresh run writes them and with
+    # the mode a plain write gives a new file, and no temporary is left
+    fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+    assert main(["run", str(write_config(tmp_path, m=2)), "--out", str(reused)]) == 0
+    config = write_config(tmp_path, m=1)
+    assert main(["run", str(config), "--out", str(reused)]) == 0
+    assert main(["run", str(config), "--out", str(fresh)]) == 0
+    assert sorted(f.name for f in reused.iterdir()) == sorted(OUTPUT_NAMES)
+    (tmp_path / "plain").write_text("")
+    plain_mode = (tmp_path / "plain").stat().st_mode
+    for name in OUTPUT_NAMES:
+        assert (reused / name).read_bytes() == (fresh / name).read_bytes()
+        assert (reused / name).stat().st_mode == plain_mode
 
 
 def test_run_rejects_missing_config(tmp_path, capsys):

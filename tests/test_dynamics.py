@@ -2,6 +2,7 @@
 
 import cmath
 import functools
+import itertools
 import math
 import random
 import re
@@ -442,13 +443,18 @@ def test_protocol_equals_loop_over_public_passes(mode):
 
 
 def assert_matches_full_space(result, series, rho, atol):
+    # the result lists the run's window [lo, N), and the full-space run holds at
+    # most WINDOW_MASS_TOL below it
     p = fock_distribution(rho)
     assert [k for k, _ in result.fidelity_series] == [k for k, _ in series]
     np.testing.assert_allclose(
         [f for _, f in result.fidelity_series], [f for _, f in series], rtol=0, atol=atol
     )
-    assert [j for j, _ in result.final_dist] == list(range(rho.dim))
-    np.testing.assert_allclose([q for _, q in result.final_dist], p, rtol=0, atol=atol)
+    lo = result.final_dist[0][0]
+    levels = list(range(lo, rho.dim))
+    assert [j for j, _ in result.final_dist] == [j for j, _ in result.initial_dist] == levels
+    assert np.sum(p[:lo]) <= dynamics.WINDOW_MASS_TOL
+    np.testing.assert_allclose([q for _, q in result.final_dist], p[lo:], rtol=0, atol=atol)
     assert abs(result.mean_photon_final - mean_photon(rho)) <= 1e-12
     assert abs(result.mandel_q_final - mandel_q(rho)) <= 1e-12
 
@@ -465,7 +471,7 @@ def test_windowed_protocol_matches_full_space(mode):
     result = run_protocol(psi, m, mode)
     series, rho = full_space_loop(psi, m, mode)
 
-    assert result.final_dist[0][1] == 0.0 < fock_distribution(rho)[0]  # outside the window
+    assert result.final_dist[0][0] > 0 and fock_distribution(rho)[0] > 0  # level 0 is outside the window
     assert_matches_full_space(result, series, rho, atol=1e-14)
 
 
@@ -507,12 +513,12 @@ def window_amps(psi, lo):
 
 
 # The path rule replaced: the band kernel, or the branch kernel with every history.
-FORCED_STAYS = {"band": lambda q, m, width: None, "branch": lambda q, m, width: m}
+FORCED_STAYS = {"band": lambda p, m, mode, c, s: None, "branch": lambda p, m, mode, c, s: m}
 
 
 def forced_run(psi, m, mode, kernel):
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(dynamics, "_branch_stays", FORCED_STAYS[kernel])
+        patch.setattr(dynamics, "_stay_count", FORCED_STAYS[kernel])
         return run_protocol(psi, m, mode)
 
 
@@ -627,7 +633,16 @@ def test_kernels_drop_what_leaves_the_window(mode, lo, real):
 
 
 def smallest_certified_stays(q, m):
+    """The smallest F whose union bound C(m, F+1) q^(F+1) on the trace of the histories
+    with more stays, q = max c_n^2, is at most WINDOW_MASS_TOL."""
     return next(f for f in range(m + 1) if math.comb(m, f + 1) * q ** (f + 1) <= dynamics.WINDOW_MASS_TOL)
+
+
+def exact_stays(p, m, mode, c, s):
+    """The smallest F whose dropped histories hold at most WINDOW_MASS_TOL after every
+    pass, from the stay-class chain with no cap."""
+    worst = np.max(list(dynamics._stay_tails(p, m, mode, c, s, m)), axis=0, initial=0.0)
+    return int(np.argmax(worst <= dynamics.WINDOW_MASS_TOL))
 
 
 @pytest.mark.parametrize(
@@ -637,18 +652,94 @@ def smallest_certified_stays(q, m):
 )
 @pytest.mark.parametrize("mode", [Mode.ADD, Mode.SUBTRACT])
 def test_branch_kernel_matches_band_kernel_where_it_drops_histories(mode, alpha):
-    # at m = 10 the certificate keeps 2 to 4 stays of 10: the dropped histories
-    # hold <= WINDOW_MASS_TOL, so the kernels differ by rounding alone. At
-    # alpha = 20 the rule runs the band kernel, as F = 4 holds too many rows
+    # at m = 10 the exact certificate keeps 2 or 3 stays of 10, never more than the
+    # union bound: the dropped histories hold <= WINDOW_MASS_TOL, so the kernels
+    # differ by rounding alone
     m = 10
     psi = make_coherent(alpha, default_dim(alpha, 2 * m if mode is Mode.ADD else 0))
     p, lo, c, s = protocol_window(psi, m, mode)
-    stays = smallest_certified_stays(float(np.max(c * c)), m)
-    assert 2 <= stays <= 4
+    stays = exact_stays(p[lo:], m, mode, c, s)
+    assert 2 <= stays <= 3
+    assert stays <= smallest_certified_stays(float(np.max(c * c)), m)
     amps = window_amps(psi, lo)
     band = dynamics._band_passes(amps, m, mode, c, s)
     branch = dynamics._branch_passes(amps, m, mode, c, s, stays)
     np.testing.assert_allclose(branch, band, rtol=0, atol=1e-15)
+
+
+def history_squares(amps, k, mode, c, s):
+    """(stays, ||x||^2) of each of the 2^k histories x = K_k .. K_1 amps, K a stay C or a
+    move that shifts S x two levels up (ADD) or down, dropping what leaves the window."""
+    out = []
+    for history in itertools.product((True, False), repeat=k):
+        x = amps.copy()
+        for stay in history:
+            if stay:
+                x = c * x
+            else:
+                moved = np.zeros_like(x)
+                if mode is Mode.ADD:
+                    moved[2:] = (s * x)[:-2]
+                else:
+                    moved[:-2] = (s * x)[2:]
+                x = moved
+        out.append((sum(history), np.vdot(x, x).real))
+    return out
+
+
+# Windows with mass on every level, the two a pass pushes out included: lo = 0 and
+# lo > 0, both modes, real and complex amplitudes; one large-alpha window where
+# stays are rare, so the tails fall below WINDOW_MASS_TOL; and one with mass on the
+# two leaving levels alone, where only stays survive, so each tail is largest
+# right after the pass that first fills it and F must read every pass, not the last
+def certificate_window(width, lo, mode, seed):
+    if seed == "alpha45":
+        psi = make_coherent(45.0, default_dim(45.0))
+        return psi.amps[lo : lo + width]
+    amps = np.zeros(width, dtype=complex)
+    if seed == "edge":
+        amps[slice(-2, None) if mode is Mode.ADD else slice(0, 2)] = [0.6, 0.8j]
+        return amps
+    rng = np.random.default_rng(seed)
+    amps = (0.5 + rng.random(width)) * np.exp(2j * np.pi * rng.random(width))
+    return amps / np.linalg.norm(amps)
+
+
+@pytest.mark.parametrize(
+    "width, lo, m, seed",
+    [
+        (12, 0, 8, 1), (40, 0, 6, 2), (40, 30, 8, 3), (25, 100, 5, 4),
+        (40, 2015, 8, "alpha45"), (12, 2000, 8, "edge"),
+    ],
+    ids=["W12-lo0", "W40-lo0", "W40-lo30", "W25-lo100", "alpha45-W40", "edge-W12"],
+)
+@pytest.mark.parametrize("mode", [Mode.ADD, Mode.SUBTRACT])
+def test_stay_certificate_is_the_dropped_trace_of_the_enumerated_histories(mode, width, lo, m, seed):
+    amps = certificate_window(width, lo, mode, seed)
+    c, s = dynamics._pass_diagonals(lo, lo + width, mode)
+    p = np.abs(amps) ** 2
+    q = float(np.max(c * c))
+    chain = list(dynamics._stay_tails(p, m, mode, c, s, m))
+    dropped = np.zeros((m, m + 1))  # dropped[k - 1, f]: the histories with > f stays after pass k
+    for k in range(1, m + 1):
+        histories = history_squares(amps, k, mode, c, s)
+        dropped[k - 1] = [sum(w for stays, w in histories if stays > f) for f in range(m + 1)]
+        # the union bound the chain replaces holds too
+        bound = [math.comb(k, f + 1) * q ** (f + 1) for f in range(m + 1)]
+        assert np.all(dropped[k - 1] <= np.array(bound) * (1 + 1e-12))
+    np.testing.assert_allclose(chain, dropped, rtol=1e-12, atol=0)
+    smallest = next(f for f in range(m + 1) if np.all(dropped[:, f] <= dynamics.WINDOW_MASS_TOL))
+    cap = dynamics._stay_cap(m, width)
+    expected = smallest if cap is not None and smallest <= cap else None
+    assert dynamics._stay_count(p, m, mode, c, s) == expected
+    if seed == "alpha45":
+        assert 0 < expected < m  # rare stays: some histories dropped, some kept
+    if seed == "edge":
+        assert np.max(dropped[:, smallest - 1]) > dynamics.WINDOW_MASS_TOL >= dropped[-1, smallest - 1]
+    for f in range(m + 1):  # under a cap of f: F where F <= f, else None
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dynamics, "_stay_cap", lambda m, width, f=f: f)
+            assert dynamics._stay_count(p, m, mode, c, s) == (smallest if smallest <= f else None)
 
 
 def branch_rows(m, stays):
@@ -660,47 +751,86 @@ def branch_rows(m, stays):
 
 @pytest.mark.parametrize("m", [1, 2, 10, 16, 50, 300])
 @pytest.mark.parametrize("width", [64, 896, 10**12])
-def test_branch_stays_is_the_smallest_certified_count_where_branches_cost_less(width, m):
+def test_stay_cap_is_the_largest_count_where_branches_cost_less(width, m):
     # and where they hold no more rows than the band kernel's block and scratch;
-    # any count up to F = m, where the branches are every history
-    for q in [0.0, *np.logspace(-14.0, 0.0, 43)]:
-        stays = smallest_certified_stays(q, m)
-        updated, held = branch_rows(m, stays)
-        fits = updated < m * (width + 1) / 2 and held <= 2 * dynamics.BAND_BLOCK
-        assert dynamics._branch_stays(q, m, width) == (stays if stays <= m and fits else None)
+    # any count up to F = m, where the branches are every history; by brute force
+    # over every count
+    fits = [
+        f
+        for f in range(m + 1)
+        if branch_rows(m, f)[0] < m * (width + 1) / 2 and branch_rows(m, f)[1] <= 2 * dynamics.BAND_BLOCK
+    ]
+    assert fits == list(range(len(fits)))  # the counts that fit run from 0 up
+    assert dynamics._stay_cap(m, width) == (fits[-1] if fits else None)
+
+
+def counted_passes(patch):
+    """The passes of the stay-class chain consumed from now on, one entry per chain run."""
+    passes = []
+    stay_tails = dynamics._stay_tails
+
+    def counted(*args):
+        passes.append(0)
+        for tails in stay_tails(*args):
+            passes[-1] += 1
+            yield tails
+
+    patch.setattr(dynamics, "_stay_tails", counted)
+    return passes
 
 
 @pytest.mark.parametrize(
-    "alpha, m, mode, stays",
+    "alpha, m, mode, dim, stays, passes",
     [
-        (5.0, 7000, Mode.ADD, None),  # accepted by parse_config; C(m, F+1) overflows a float
-        (45.0 * cmath.exp(1j * SCALE_PHASE), 10, Mode.ADD, 3),
-        (45.0 * cmath.exp(1j * SCALE_PHASE), 10, Mode.SUBTRACT, 3),
-        (100.0 * cmath.exp(0.7j), 50, Mode.ADD, 2),
-        (100.0, 2, Mode.ADD, 2),  # F = m: every history
-        # the certified F = 4 would hold 131 rows, over the band kernel's 64
-        (20.0, 10, Mode.ADD, None),
+        (5.0, 7000, Mode.ADD, None, None, 2),  # accepted by parse_config
+        (5.0, 50, Mode.ADD, 256, None, 2),  # configs/add_alpha5.json: F = 8 holds too many rows
+        (12.0, 50, Mode.SUBTRACT, 320, None, 2),  # configs/subtract_alpha12.json: F = 26
+        (45.0 * cmath.exp(1j * SCALE_PHASE), 10, Mode.ADD, None, 2, 10),
+        (45.0 * cmath.exp(1j * SCALE_PHASE), 10, Mode.SUBTRACT, None, 2, 10),
+        (100.0 * cmath.exp(0.7j), 50, Mode.ADD, None, 2, 50),
+        (100.0, 2, Mode.ADD, None, 2, 2),  # F = m: every history
+        (20.0, 10, Mode.ADD, None, 3, 10),  # the union bound's F = 4 held too many rows
     ],
-    ids=["add-5-7000", "scale_add", "scale_subtract", "add-100-50", "add-100-2", "add-20-10"],
+    ids=[
+        "add-5-7000", "add_alpha5", "subtract_alpha12", "scale_add", "scale_subtract",
+        "add-100-50", "add-100-2", "add-20-10",
+    ],
 )
-def test_path_rule_is_taken_without_a_pass(alpha, m, mode, stays):
-    psi = make_coherent(alpha, default_dim(alpha, 2 * m if mode is Mode.ADD else 0))
-    _, lo, c, _ = protocol_window(psi, m, mode)
-    assert dynamics._branch_stays(float(np.max(c * c)), m, psi.dim - lo) == stays
+def test_path_rule_is_taken_without_a_pass(monkeypatch, alpha, m, mode, dim, stays, passes):
+    # the rule reads the stay-class chain alone, which stops at its first pass whose
+    # histories past the cap hold more than WINDOW_MASS_TOL
+    psi = make_coherent(alpha, dim or default_dim(alpha, 2 * m if mode is Mode.ADD else 0))
+    p, lo, c, s = protocol_window(psi, m, mode)
+    calls, consumed = counted_kernels(monkeypatch), counted_passes(monkeypatch)
+    assert dynamics._stay_count(p[lo:], m, mode, c, s) == stays
+    assert (calls, consumed) == ([], [passes])
 
 
-def test_path_rule_refuses_branches_that_would_outgrow_an_admitted_run():
-    # parse_config admits this N, and the certified F = 11 updates fewer rows
-    # than the band kernel, but it would hold 30 828 rows of W = 16 197, 4 GB
+def test_path_rule_refuses_branches_that_would_outgrow_an_admitted_run(monkeypatch):
+    # parse_config admits this N. The union bound certified F = 11, which would hold
+    # 30 828 rows of W = 16 197, 4 GB; the exact F = 5 updates fewer rows than the band
+    # kernel, but would still hold 1942 rows, 30 times its 64. The chain that refuses
+    # it holds its rows and their moves, two (cap + 2) x W arrays, for 3 of 16 passes
     alpha, m, dim = 7.4, 16, 16200
     experiment.parse_config({"alpha": alpha, "mode": "add", "m": m, "dim": dim})
-    _, lo, c, _ = protocol_window(make_coherent(alpha, dim), m, Mode.ADD)
-    stays = smallest_certified_stays(float(np.max(c * c)), m)
+    p, lo, c, s = protocol_window(make_coherent(alpha, dim), m, Mode.ADD)
+    width, cap = dim - lo, dynamics._stay_cap(m, dim - lo)
+    stays = exact_stays(p[lo:], m, Mode.ADD, c, s)
     updated, held = branch_rows(m, stays)
-    assert (lo, stays) == (3, 11)
-    assert updated < m * (dim - lo + 1) / 2
-    assert held * (dim - lo) * 8 > experiment.MEMORY_BUDGET
-    assert dynamics._branch_stays(float(np.max(c * c)), m, dim - lo) is None
+    assert (lo, stays, cap) == (3, 5, 2)
+    assert smallest_certified_stays(float(np.max(c * c)), m) == 11
+    assert branch_rows(m, 11)[1] * width * 8 > experiment.MEMORY_BUDGET
+    assert updated < m * (width + 1) / 2
+    assert held > 2 * dynamics.BAND_BLOCK
+    consumed = counted_passes(monkeypatch)
+    tracemalloc.start()
+    try:
+        assert dynamics._stay_count(p[lo:], m, Mode.ADD, c, s) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert consumed == [3]
+    assert peak <= (2 * (cap + 2) + 4) * width * 8  # and c^2, s^2 and the tails
 
 
 def counted_kernels(patch):
@@ -713,8 +843,8 @@ def counted_kernels(patch):
 
 
 def test_shipped_configs_run_the_band_kernel_and_the_scale_runs_the_branch_kernel(monkeypatch):
-    # at alpha = 5 stays are not rare (F = 29 of 50), and alpha = 12's
-    # subtract window reaches |0>, where C' = 1
+    # at alpha = 5 stays are not rare (F = 8 of 50), and alpha = 12's
+    # subtract window reaches |0>, where C' = 1 (F = 26 of 50)
     calls = counted_kernels(monkeypatch)
     configs = Path(__file__).resolve().parent.parent / "configs"
     for name in ("add_alpha5.json", "subtract_alpha12.json"):
@@ -835,14 +965,16 @@ def test_protocol_allocates_no_window_square_array():
     # at |alpha| = 45, m = 10 the add window is W = 896 of N = 2519 levels; the
     # bands, BAND_BLOCK at a time, and the one base vector the targets are
     # shifted views of stay under half of one float64 W x W array. The branch
-    # kernel the run takes holds 47 rows of W, no more than the band kernel's 64,
-    # and the diagonal chain a few vectors of W
+    # kernel the run takes holds 11 rows of W, no more than the band kernel's 64,
+    # the stay-class chain two (cap + 2) x W arrays, cap = 3, and the diagonal
+    # chain a few vectors of W
     m = 10
     psi = make_coherent(45.0, default_dim(45.0, 2 * m))
     p, lo, c, s = protocol_window(psi, m, Mode.ADD)
     width = psi.dim - lo
     assert width == 896
-    stays = dynamics._branch_stays(float(np.max(c * c)), m, width)
+    stays = dynamics._stay_count(p[lo:], m, Mode.ADD, c, s)
+    assert (stays, dynamics._stay_cap(m, width)) == (2, 3)
     amps = window_amps(psi, lo)
     peaks = {}
     for name, run in [
@@ -850,6 +982,7 @@ def test_protocol_allocates_no_window_square_array():
         ("band", lambda: dynamics._band_passes(amps, m, Mode.ADD, c, s)),
         ("branch", lambda: dynamics._branch_passes(amps, m, Mode.ADD, c, s, stays)),
         ("chain", lambda: dynamics._diagonal_chain(p[lo:], m, Mode.ADD, c, s)),
+        ("stays", lambda: dynamics._stay_count(p[lo:], m, Mode.ADD, c, s)),
     ]:
         tracemalloc.start()
         try:
@@ -861,6 +994,7 @@ def test_protocol_allocates_no_window_square_array():
     assert peaks["band"] < width * width * 8 / 2
     assert peaks["branch"] <= peaks["band"]
     assert peaks["chain"] < 8 * width * 8
+    assert peaks["stays"] <= (2 * (3 + 2) + 4) * width * 8 + 65536  # and numpy's broadcast buffer
 
 
 def test_protocol_stores_no_target_per_pass():
@@ -1019,16 +1153,21 @@ def test_protocol_m0_is_identity():
     assert result.mean_photon_final == result.mean_photon_initial
 
 
-@pytest.mark.parametrize("alpha", [3 * cmath.exp(0.4j), 7 + 2j], ids=["3e^0.4i", "7+2i"])
-def test_protocol_m0_is_identity_at_complex_alpha(alpha):
+@pytest.mark.parametrize(
+    "alpha, windowed", [(3 * cmath.exp(0.4j), False), (7 + 2j, True)], ids=["3e^0.4i", "7+2i"]
+)
+def test_protocol_m0_is_identity_at_complex_alpha(alpha, windowed):
     # the window diagonal is seeded from |c|^2 itself, not the real path's
-    # |c| |c|, which was an ulp off on most levels; below lo zeros are by design
+    # |c| |c|, which was an ulp off on most levels; the rows list the window,
+    # below which psi holds at most WINDOW_MASS_TOL
     psi = make_coherent(alpha, default_dim(alpha))
     result = run_protocol(psi, 0, Mode.ADD)
-    p = np.array([q for _, q in result.initial_dist])
+    p = fock_distribution(psi)
     lo = int(np.argmax(np.cumsum(p) > dynamics.WINDOW_MASS_TOL))
-    assert result.final_dist[lo:] == result.initial_dist[lo:]
-    assert all(q == 0.0 for _, q in result.final_dist[:lo])
+    assert (lo > 0) is windowed
+    assert result.initial_dist == list(enumerate(p.tolist()))[lo:]
+    assert result.final_dist == result.initial_dist
+    assert np.sum(p[:lo]) <= dynamics.WINDOW_MASS_TOL
 
 
 def test_protocol_small_add_run():

@@ -302,7 +302,8 @@ SHIPPED = Path(__file__).resolve().parent.parent / "configs"
 )
 def test_memory_budget_prices_more_than_a_run_allocates(tmp_path, data):
     # W^2 float64s plus 96 B per level, against the whole run's tracemalloc peak:
-    # 0.36 / 0.55 MB, 0.39 / 0.85 MB and 4.9 / 35.8 MB (441 B per level) here
+    # 0.23 / 0.55 MB, 0.27 / 0.85 MB and 1.3 / 35.8 MB (116 B per level, most of it
+    # make_coherent's; the result rows are the W = 2036 of the run's window) here
     config = parse_config(data)
     width = config.dim - window_start(first_level_bound(config.alpha), config.m, config.mode)
     tracemalloc.start()
@@ -489,6 +490,34 @@ def test_load_result_rejects_a_misshapen_field(tmp_path, field, value):
     emit_json(small_result(tmp_path), path)
     data = json.loads(path.read_text())
     data[field] = value
+    path.write_text(json.dumps(data))
+    with pytest.raises(IoFailure, match="result.json is not a valid result file"):
+        load_result(path)
+
+
+def both_dists(edit):
+    """A result file edit that applies ``edit`` to both distributions' rows alike."""
+    return lambda d: d.update(initial_dist=edit(d["initial_dist"]), final_dist=edit(d["final_dist"]))
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda d: d.update(final_dist=d["final_dist"][:-1]),
+        lambda d: d.update(final_dist=[[j + 1, p] for j, p in d["final_dist"]]),
+        both_dists(lambda rows: []),
+        both_dists(lambda rows: rows[::-1]),
+        both_dists(lambda rows: rows[:3] + rows[4:]),
+        both_dists(lambda rows: rows[:1] + rows),
+    ],
+    ids=["final-shorter", "final-one-level-up", "no-rows", "descending", "gap", "repeated-level"],
+)
+def test_load_result_rejects_rows_off_one_window(tmp_path, edit):
+    # emit_json writes both distributions on the same levels lo, lo + 1, ..., N - 1
+    path = tmp_path / "result.json"
+    emit_json(small_result(tmp_path), path)
+    data = json.loads(path.read_text())
+    edit(data)
     path.write_text(json.dumps(data))
     with pytest.raises(IoFailure, match="result.json is not a valid result file"):
         load_result(path)

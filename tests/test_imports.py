@@ -172,7 +172,8 @@ def test_no_run_path_function_takes_a_tolerance():
 
 # How the pass kernels store rho: the band kernel's block size, their C and S,
 # the real-path choice and the padding of their base vector, the kernels
-# themselves, the diagonal chain beside them and the rule that picks a kernel.
+# themselves, the diagonal chain beside them and the rule that picks a kernel,
+# with its stay-class chain.
 # run_protocol hands _passes psi0, p and lo.
 KERNEL_STORAGE = {
     "BAND_BLOCK",
@@ -181,7 +182,9 @@ KERNEL_STORAGE = {
     "pad",
     "_band_passes",
     "_branch_passes",
-    "_branch_stays",
+    "_stay_cap",
+    "_stay_tails",
+    "_stay_count",
     "_diagonal_chain",
 }
 
