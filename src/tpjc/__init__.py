@@ -55,9 +55,6 @@ from .experiment import (
     ExperimentConfig,
     OracleReport,
     approx_error_table,
-    emit_distribution_csv,
-    emit_fidelity_csv,
-    emit_json,
     load_config,
     load_result,
     oracle_check,

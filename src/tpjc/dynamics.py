@@ -19,18 +19,18 @@ reduces to the exact field-only maps :func:`pass_add` / :func:`pass_subtract`.
 :func:`run_protocol` picks the occupied Fock window [lo, N), scores pass k
 against psi0 shifted by 2k over its norm, and reports distributions on the window
 alone: m passes approximate the ideal 2m-photon ladder states of :mod:`tpjc.sg`.
-The map keeps each band rho_{i,i+d} apart, so on the diagonal it is a closed chain,
-:func:`_diagonal_chain`, the one source of the final distribution. Every map takes C and S
-from :func:`_pass_diagonals`, whose S drops what a pass pushes out of the window.
-:func:`_passes` picks one of two kernels per run, which compute F only and own how rho
-is stored (float64 for coherent inputs). :func:`_band_passes` runs the map on the bands
-d >= 0 of one matrix. :func:`_branch_passes` runs the operator sum rho_k = sum x x^dag over
-the branches x = K_k .. K_1 v, K a stay C or a move: far up the ladder c_n^2 ~ (pi / 8n)^2,
-so it keeps only the branches with at most F stays. :func:`_stay_count` takes the smallest
-F whose dropped branches hold at most WINDOW_MASS_TOL of the trace after every pass, read
-exactly from the diagonal chain split by stay count, :func:`_stay_tails`, and only up to
-:func:`_stay_cap`, the largest F whose row updates cost less than the band kernel's and
-whose rows held at once are no more than its block and scratch.
+The map keeps each band rho_{i,i+d} apart, so on the diagonal it is a closed chain.
+Every map takes C and S from :func:`_pass_diagonals`, whose S drops what a pass pushes out
+of the window. :func:`_passes` runs the chain once, :func:`_photon_chain`, for the final
+distribution and the stay count F, then one of two kernels, which compute F(k) only and
+own how rho is stored (float64 for coherent inputs). :func:`_band_passes` runs the map on
+the bands d >= 0 of one matrix. :func:`_branch_passes` runs the operator sum rho_k =
+sum x x^dag over the branches x = K_k .. K_1 v, K a stay C or a move: far up the ladder
+c_n^2 ~ (pi / 8n)^2, so it keeps only the branches with at most F stays. F is the smallest
+count whose dropped branches hold at most WINDOW_MASS_TOL of the trace after every pass,
+read exactly from the chain split by stay count, and only up to :func:`_stay_cap`, the
+largest F whose row updates cost less than the band kernel's and whose rows held at once
+are no more than its block and scratch.
 """
 
 from __future__ import annotations
@@ -297,19 +297,6 @@ def _branch_passes(amps, m: int, mode: Mode, c, s, stays: int) -> np.ndarray:
     return scores
 
 
-def _diagonal_chain(p, m: int, mode: Mode, c, s) -> np.ndarray:
-    """rho's diagonal after m passes from diagonal ``p`` on a window with C, S = ``c``, ``s``.
-    A pass keeps each band apart, so this is the chain p'_i = c_i^2 p_i + s_{i-+2}^2 p_{i-+2}
-    (the micromaser photon-number rate equation), in O(m W), rounded as :func:`_full_pass`
-    rounds rho_ii; S drops what leaves the window."""
-    to, fro = (np.s_[2:], np.s_[:-2]) if mode is Mode.ADD else (np.s_[:-2], np.s_[2:])
-    for _ in range(m):
-        moved = p * s * s
-        p = p * c * c
-        p[to] += moved[fro]
-    return p
-
-
 # ---------------------------------------------------------------------------
 # iterated protocol
 
@@ -354,59 +341,54 @@ def _stay_cap(m: int, width: int) -> int | None:
     return cap
 
 
-def _stay_tails(p, m: int, mode: Mode, c, s, cap: int):
-    """After each of m passes from diagonal ``p`` on a window with C, S = ``c``, ``s``: the
-    trace of the histories with more than f stays, f = 0 .. cap. It is :func:`_diagonal_chain`
-    split by stay count: with T_f(n) the diagonal of those histories and T_{-1} = p, a stay
-    moves c_n^2 T_{f-1}(n) into T_f and a move keeps f, T'_f(n) = c_n^2 T_{f-1}(n) +
-    s_{n-+2}^2 T_f(n-+2). Rows T_{-1} .. T_cap are one (cap + 2) x W array, updated in
-    place beside one scratch of that size; S drops what leaves the window."""
+def _photon_chain(p, m: int, mode: Mode, c, s) -> tuple[np.ndarray, int | None]:
+    """The diagonal after m passes from diagonal ``p`` on a window with C, S = ``c``, ``s``, and
+    the stay count F of :func:`_branch_passes`, or None where the band kernel runs. A pass keeps
+    each band apart, so the diagonal is a closed chain, p'_i = c_i^2 p_i + s_{i-+2}^2 p_{i-+2}
+    (the micromaser photon-number rate equation), in O(m W). Split by stay count it certifies F:
+    with T_f(n) the diagonal of the histories with more than f stays and T_{-1} the whole one, a
+    stay moves c_n^2 T_{f-1}(n) into T_f and a move keeps f, T'_f(n) = c_n^2 T_{f-1}(n) +
+    s_{n-+2}^2 T_f(n-+2). Rows T_{-1} .. T_cap, cap = :func:`_stay_cap`, are one array updated
+    in place beside one scratch of its size, each entry rounded as :func:`_full_pass` rounds
+    rho_ii; S drops what leaves the window. F is the smallest f whose T_f holds at most
+    WINDOW_MASS_TOL of the trace after every pass: those histories sum to a positive semidefinite
+    sum x x^dag of that trace, so no F and no level moves by more. At the first pass where T_cap
+    holds more, or where the cap is None, only row T_{-1} is kept, and F is None."""
     width = p.size
-    c2, s2 = c * c, s * s
-    tails, moved = np.zeros((2, cap + 2, width))
-    tails[0] = p
-    flat, flat_moved = tails.reshape(-1), moved.reshape(-1)
-    # S is zero on the two entries a row would push past its end, into the next row
-    to, fro = (flat[2:], flat_moved[:-2]) if mode is Mode.ADD else (flat[:-2], flat_moved[2:])
+    cap = _stay_cap(m, width)
+    # rows T_{-1} .. T_cap and their moves, or T_{-1} alone as one 1-d row, which updates in half the time
+    rows, moved = np.zeros((2, width) if cap is None else (2, cap + 2, width))
+    flat, flat_moved = rows.reshape(-1), moved.reshape(-1)
+    flat[:width] = p
+    worst = np.zeros(0 if cap is None else cap + 1)  # each T_f's largest trace so far
     for _ in range(m):
-        np.multiply(tails, s2, out=moved)
-        tails *= c2
+        np.multiply(rows, s, out=moved)
+        moved *= s
+        rows *= c
+        rows *= c
         flat[width:] = flat[:-width]  # a stay adds one: T_f takes T_{f-1}'s stays, T_{-1} keeps its own
+        # S is zero on the two entries a row would push past its end, so the next row takes +0.0
+        to, fro = (flat[2:], flat_moved[:-2]) if mode is Mode.ADD else (flat[:-2], flat_moved[2:])
         to += fro
-        yield tails[1:].sum(axis=1)
-
-
-def _stay_count(p, m: int, mode: Mode, c, s) -> int | None:
-    """The stay count F of :func:`_branch_passes` for m passes from diagonal ``p`` on a window
-    with C, S = ``c``, ``s``, or None where the band kernel runs: F is the smallest count up to
-    :func:`_stay_cap` whose dropped histories hold at most WINDOW_MASS_TOL of the trace after
-    every pass (:func:`_stay_tails`). They sum to a positive semidefinite sum x x^dag of that
-    trace, so no F and no level moves by more. The chain stops once the histories with more
-    stays than the cap hold more."""
-    cap = _stay_cap(m, p.size)
-    if cap is None:
-        return None
-    worst = np.zeros(cap + 1)
-    for tails in _stay_tails(p, m, mode, c, s, cap):
-        if tails[-1] > WINDOW_MASS_TOL:
-            return None
-        np.maximum(worst, tails, out=worst)
-    return int(np.argmax(worst <= WINDOW_MASS_TOL))
+        if rows.ndim > 1:
+            np.maximum(worst, rows[1:].sum(axis=1), out=worst)
+            if worst[-1] > WINDOW_MASS_TOL:
+                rows, moved = flat, flat_moved = rows[0], moved[0]
+    stays = None if rows.ndim == 1 else int(np.argmax(worst <= WINDOW_MASS_TOL))
+    return flat[:width].copy(), stays  # row T_{-1}, apart from the rows, so the kernel runs without them
 
 
 def _passes(v, p, lo: int, m: int, mode: Mode) -> tuple[np.ndarray, np.ndarray]:
     """F(0..m) and the final diagonal on the window [lo, N) of m passes from |v><v|, whose
-    diagonal on the window is ``p``. F is scored on the window's |v| where it has a phase ramp,
-    by :func:`_branch_passes` where :func:`_stay_count` certifies a stay count, else by
-    :func:`_band_passes`; the diagonal is :func:`_diagonal_chain`'s."""
+    diagonal on the window is ``p``. :func:`_photon_chain` gives the diagonal and the stay
+    count; F is scored on the window's |v| where it has a phase ramp, by :func:`_branch_passes`
+    where that count is certified, else by :func:`_band_passes`."""
     c, s = _pass_diagonals(lo, lo + p.size, mode)
     amps = np.abs(v[lo:]) if _has_phase_ramp(v[lo:]) else v[lo:]
-    stays = _stay_count(p, m, mode, c, s)
+    final, stays = _photon_chain(p, m, mode, c, s)
     if stays is None:
-        scores = _band_passes(amps, m, mode, c, s)
-    else:
-        scores = _branch_passes(amps, m, mode, c, s, stays)
-    return scores, _diagonal_chain(p, m, mode, c, s)
+        return _band_passes(amps, m, mode, c, s), final
+    return _branch_passes(amps, m, mode, c, s, stays), final
 
 
 # Largest ||c - |c| e^{i psi}|| (psi_{j+2} - psi_j constant) that the float64

@@ -177,22 +177,21 @@ def _result_json(result: ProtocolResult) -> str:
     return "{\n" + lines + "\n}\n"
 
 
-def emit_json(result: ProtocolResult, path: str | Path) -> None:
-    """Write :func:`_result_json` of ``result`` to ``path``."""
-    _write_text(path, _result_json(result))
-
-
 def _number(value, nullable: bool = False) -> float | None:
-    if type(value) in (int, float) or (nullable and value is None):
+    if (type(value) in (int, float) and math.isfinite(value)) or (nullable and value is None):
         return None if value is None else float(value)
-    raise TypeError(f"expected a number, got {value!r}")
+    raise TypeError(f"expected a finite number, got {value!r}")
 
 
-def _window_rows(initial: list, final: list) -> None:
-    """Raise ValueError unless both distributions list the same levels lo, lo + 1, ...:
-    the rows emit_json writes."""
-    levels = [j for j, _ in initial]
-    if not levels or levels != [j for j, _ in final] or levels != list(range(levels[0], levels[-1] + 1)):
+def _run_rows(result: ProtocolResult) -> None:
+    """Raise ValueError unless the fidelities list k = 0, 1, ..., m and both distributions
+    the same levels j = lo, lo + 1, ...: the rows a run writes."""
+    passes = [k for k, _ in result.fidelity_series]
+    if not passes or passes != list(range(len(passes))):
+        raise ValueError("fidelity_series must list k = 0, 1, ..., m")
+    levels = [j for j, _ in result.initial_dist]
+    finals = [j for j, _ in result.final_dist]
+    if not levels or levels != finals or levels != list(range(levels[0], levels[-1] + 1)):
         raise ValueError("initial_dist and final_dist must list the same levels j = lo, lo + 1, ...")
 
 
@@ -212,13 +211,13 @@ def load_result(path: str | Path) -> ProtocolResult:
             mandel_q_predicted=_number(data["mandel_q_predicted"], nullable=True),
             warnings=warnings,
         )
-        _window_rows(result.initial_dist, result.final_dist)
+        _run_rows(result)
         return result
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
-    # ValueError: not JSON, a bad pair or rows off one window; RecursionError/OverflowError:
-    # nesting or a number past its limit; KeyError/TypeError/ConfigInvalid: a missing,
-    # mistyped or negative field
+    # ValueError: not JSON, a bad pair, passes other than 0 .. m or rows off one window;
+    # RecursionError/OverflowError: nesting or a number past its limit; KeyError/TypeError/
+    # ConfigInvalid: a missing, mistyped, non-finite or negative field
     except (ValueError, RecursionError, KeyError, TypeError, ConfigInvalid, OverflowError) as exc:
         raise IoFailure(f"{path} is not a valid result file: {exc!r}") from exc
 
@@ -244,14 +243,6 @@ def _distribution_csv(result: ProtocolResult) -> str:
     j, p_initial = zip(*result.initial_dist)
     _, p_final = zip(*result.final_dist)
     return _csv("j,p_initial,p_final", j, p_initial, p_final)
-
-
-def emit_fidelity_csv(result: ProtocolResult, path: str | Path) -> None:
-    _write_text(path, _fidelity_csv(result))
-
-
-def emit_distribution_csv(result: ProtocolResult, path: str | Path) -> None:
-    _write_text(path, _distribution_csv(result))
 
 
 def _write_all(out: Path, texts: dict[str, str]) -> list[Path]:

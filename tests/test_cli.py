@@ -13,7 +13,7 @@ import pytest
 import tpjc
 from tpjc import dynamics, fock_distribution, make_coherent
 from tpjc.cli import main
-from tpjc.experiment import emit_json, load_result, parse_config
+from tpjc.experiment import _result_json, load_result, parse_config
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -242,7 +242,7 @@ def test_run_writes_the_rows_of_its_window(tmp_path, capsys, data):
     assert [int(row.split(",")[0]) for row in csv_rows] == levels
     result = load_result(out_dir / "result.json")
     assert result.initial_dist == list(zip(levels, p[lo:].tolist()))
-    emit_json(result, tmp_path / "again.json")
+    (tmp_path / "again.json").write_text(_result_json(result))
     assert (tmp_path / "again.json").read_bytes() == (out_dir / "result.json").read_bytes()
 
 

@@ -513,12 +513,17 @@ def window_amps(psi, lo):
 
 
 # The path rule replaced: the band kernel, or the branch kernel with every history.
-FORCED_STAYS = {"band": lambda p, m, mode, c, s: None, "branch": lambda p, m, mode, c, s: m}
+# The distribution is still the chain's.
+PHOTON_CHAIN = dynamics._photon_chain
+FORCED_STAYS = {
+    "band": lambda *args: (PHOTON_CHAIN(*args)[0], None),
+    "branch": lambda p, m, *args: (PHOTON_CHAIN(p, m, *args)[0], m),
+}
 
 
 def forced_run(psi, m, mode, kernel):
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(dynamics, "_stay_count", FORCED_STAYS[kernel])
+        patch.setattr(dynamics, "_photon_chain", FORCED_STAYS[kernel])
         return run_protocol(psi, m, mode)
 
 
@@ -638,11 +643,41 @@ def smallest_certified_stays(q, m):
     return next(f for f in range(m + 1) if math.comb(m, f + 1) * q ** (f + 1) <= dynamics.WINDOW_MASS_TOL)
 
 
+def capped_chain(cap, *args):
+    """_photon_chain(*args) with ``cap`` in place of _stay_cap."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dynamics, "_stay_cap", cap)
+        return dynamics._photon_chain(*args)
+
+
+def no_cap(m, width):
+    """Split rows up to T_m, which is empty, so the chain never drops them."""
+    return m
+
+
 def exact_stays(p, m, mode, c, s):
     """The smallest F whose dropped histories hold at most WINDOW_MASS_TOL after every
-    pass, from the stay-class chain with no cap."""
-    worst = np.max(list(dynamics._stay_tails(p, m, mode, c, s, m)), axis=0, initial=0.0)
-    return int(np.argmax(worst <= dynamics.WINDOW_MASS_TOL))
+    pass, from the chain with no cap."""
+    return capped_chain(no_cap, p, m, mode, c, s)[1]
+
+
+def chain_tails(patch):
+    """One list per chain run from now on: the traces of T_0 .. T_cap after each pass that
+    holds them, the refusing pass included, as the chain folds them into its running max."""
+    runs = []
+
+    class Numpy:  # numpy as the chain reads it, with that one call recorded
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def maximum(self, worst, tails, **kwargs):
+            runs[-1].append(tails.copy())
+            return np.maximum(worst, tails, **kwargs)
+
+    chain = dynamics._photon_chain
+    patch.setattr(dynamics, "np", Numpy())
+    patch.setattr(dynamics, "_photon_chain", lambda *args: runs.append([]) or chain(*args))
+    return runs
 
 
 @pytest.mark.parametrize(
@@ -719,7 +754,10 @@ def test_stay_certificate_is_the_dropped_trace_of_the_enumerated_histories(mode,
     c, s = dynamics._pass_diagonals(lo, lo + width, mode)
     p = np.abs(amps) ** 2
     q = float(np.max(c * c))
-    chain = list(dynamics._stay_tails(p, m, mode, c, s, m))
+    with pytest.MonkeyPatch.context() as patch:
+        runs = chain_tails(patch)
+        capped_chain(no_cap, p, m, mode, c, s)
+    (chain,) = runs
     dropped = np.zeros((m, m + 1))  # dropped[k - 1, f]: the histories with > f stays after pass k
     for k in range(1, m + 1):
         histories = history_squares(amps, k, mode, c, s)
@@ -731,15 +769,13 @@ def test_stay_certificate_is_the_dropped_trace_of_the_enumerated_histories(mode,
     smallest = next(f for f in range(m + 1) if np.all(dropped[:, f] <= dynamics.WINDOW_MASS_TOL))
     cap = dynamics._stay_cap(m, width)
     expected = smallest if cap is not None and smallest <= cap else None
-    assert dynamics._stay_count(p, m, mode, c, s) == expected
+    assert dynamics._photon_chain(p, m, mode, c, s)[1] == expected
     if seed == "alpha45":
         assert 0 < expected < m  # rare stays: some histories dropped, some kept
     if seed == "edge":
         assert np.max(dropped[:, smallest - 1]) > dynamics.WINDOW_MASS_TOL >= dropped[-1, smallest - 1]
     for f in range(m + 1):  # under a cap of f: F where F <= f, else None
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(dynamics, "_stay_cap", lambda m, width, f=f: f)
-            assert dynamics._stay_count(p, m, mode, c, s) == (smallest if smallest <= f else None)
+        assert capped_chain(lambda m, width: f, p, m, mode, c, s)[1] == (smallest if smallest <= f else None)
 
 
 def branch_rows(m, stays):
@@ -764,21 +800,6 @@ def test_stay_cap_is_the_largest_count_where_branches_cost_less(width, m):
     assert dynamics._stay_cap(m, width) == (fits[-1] if fits else None)
 
 
-def counted_passes(patch):
-    """The passes of the stay-class chain consumed from now on, one entry per chain run."""
-    passes = []
-    stay_tails = dynamics._stay_tails
-
-    def counted(*args):
-        passes.append(0)
-        for tails in stay_tails(*args):
-            passes[-1] += 1
-            yield tails
-
-    patch.setattr(dynamics, "_stay_tails", counted)
-    return passes
-
-
 @pytest.mark.parametrize(
     "alpha, m, mode, dim, stays, passes",
     [
@@ -797,20 +818,20 @@ def counted_passes(patch):
     ],
 )
 def test_path_rule_is_taken_without_a_pass(monkeypatch, alpha, m, mode, dim, stays, passes):
-    # the rule reads the stay-class chain alone, which stops at its first pass whose
-    # histories past the cap hold more than WINDOW_MASS_TOL
+    # the rule reads the chain alone, which drops its split rows at its first pass whose
+    # histories past the cap hold more than WINDOW_MASS_TOL: `passes` is that pass, or m
     psi = make_coherent(alpha, dim or default_dim(alpha, 2 * m if mode is Mode.ADD else 0))
     p, lo, c, s = protocol_window(psi, m, mode)
-    calls, consumed = counted_kernels(monkeypatch), counted_passes(monkeypatch)
-    assert dynamics._stay_count(p[lo:], m, mode, c, s) == stays
-    assert (calls, consumed) == ([], [passes])
+    calls, runs = counted_kernels(monkeypatch), chain_tails(monkeypatch)
+    assert dynamics._photon_chain(p[lo:], m, mode, c, s)[1] == stays
+    assert (calls, [len(tails) for tails in runs]) == ([], [passes])
 
 
 def test_path_rule_refuses_branches_that_would_outgrow_an_admitted_run(monkeypatch):
     # parse_config admits this N. The union bound certified F = 11, which would hold
     # 30 828 rows of W = 16 197, 4 GB; the exact F = 5 updates fewer rows than the band
-    # kernel, but would still hold 1942 rows, 30 times its 64. The chain that refuses
-    # it holds its rows and their moves, two (cap + 2) x W arrays, for 3 of 16 passes
+    # kernel, but would still hold 1942 rows, 30 times its 64. The chain that refuses it
+    # holds its split rows and their moves, two (cap + 2) x W arrays, for 3 of 16 passes
     alpha, m, dim = 7.4, 16, 16200
     experiment.parse_config({"alpha": alpha, "mode": "add", "m": m, "dim": dim})
     p, lo, c, s = protocol_window(make_coherent(alpha, dim), m, Mode.ADD)
@@ -822,21 +843,22 @@ def test_path_rule_refuses_branches_that_would_outgrow_an_admitted_run(monkeypat
     assert branch_rows(m, 11)[1] * width * 8 > experiment.MEMORY_BUDGET
     assert updated < m * (width + 1) / 2
     assert held > 2 * dynamics.BAND_BLOCK
-    consumed = counted_passes(monkeypatch)
+    runs = chain_tails(monkeypatch)
     tracemalloc.start()
     try:
-        assert dynamics._stay_count(p[lo:], m, Mode.ADD, c, s) is None
+        assert dynamics._photon_chain(p[lo:], m, Mode.ADD, c, s)[1] is None
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert consumed == [3]
-    assert peak <= (2 * (cap + 2) + 4) * width * 8  # and c^2, s^2 and the tails
+    assert [len(tails) for tails in runs] == [3]
+    assert peak <= (2 * (cap + 2) + 4) * width * 8  # and numpy's broadcast buffer and the tails
 
 
-def counted_kernels(patch):
-    """The names of the pass kernels called from now on, in call order."""
+def counted_kernels(patch, names=("_band_passes", "_branch_passes")):
+    """The names of the dynamics functions called from now on, in call order: by default the
+    pass kernels."""
     calls = []
-    for name in ("_band_passes", "_branch_passes"):
+    for name in names:
         kernel = getattr(dynamics, name)
         patch.setattr(dynamics, name, lambda *args, name=name, kernel=kernel: calls.append(name) or kernel(*args))
     return calls
@@ -858,6 +880,16 @@ def test_shipped_configs_run_the_band_kernel_and_the_scale_runs_the_branch_kerne
     assert calls == ["_branch_passes"] * 2
 
 
+def test_protocol_runs_the_chain_once_before_either_kernel(monkeypatch):
+    # one chain run gives both the final distribution and the stay count
+    calls = counted_kernels(monkeypatch, ("_photon_chain", "_band_passes", "_branch_passes"))
+    config = load_config(Path(__file__).resolve().parent.parent / "configs" / "add_alpha5.json")
+    run_protocol(make_coherent(config.alpha, config.dim), config.m, config.mode)
+    alpha = 45.0 * cmath.exp(1j * SCALE_PHASE)
+    run_protocol(make_coherent(alpha, default_dim(alpha, 20)), 10, Mode.ADD)
+    assert calls == ["_photon_chain", "_band_passes", "_photon_chain", "_branch_passes"]
+
+
 def test_coherent_states_run_real_up_to_the_memory_budget():
     # parse_config prices a float64 run for every coherent input
     # it admits; |alpha| = 800 is near the largest it admits
@@ -872,17 +904,23 @@ def test_subtract_chain_keeps_mass_on_the_dark_vacuum():
     p[0] = 1.0
     c, s = dynamics._pass_diagonals(0, 8, Mode.SUBTRACT)
     for m in (1, 5):
-        assert np.array_equal(dynamics._diagonal_chain(p, m, Mode.SUBTRACT, c, s), p)
+        assert np.array_equal(dynamics._photon_chain(p, m, Mode.SUBTRACT, c, s)[0], p)
+
+
+# Caps of the chain's split rows: its own, one it never drops them at, and none at all
+CHAIN_CAPS = [dynamics._stay_cap, no_cap, lambda m, width: None]
 
 
 def assert_chain_is_the_dense_diagonal(psi, m, mode):
-    # the chain from rho_0's diagonal, on the whole space, after every pass
+    # the chain from rho_0's diagonal, on the whole space, after every pass, whether
+    # it holds split rows to the end, drops them or holds none
     rho = pure_density(psi)
     p = np.diagonal(rho.elems).real
     c, s = dynamics._pass_diagonals(0, psi.dim, mode)
     for k in range(1, m + 1):
         rho = dynamics._full_pass(rho, mode)
-        assert np.array_equal(dynamics._diagonal_chain(p, k, mode, c, s), np.diagonal(rho.elems).real)
+        for cap in CHAIN_CAPS:
+            assert np.array_equal(capped_chain(cap, p, k, mode, c, s)[0], np.diagonal(rho.elems).real)
 
 
 @pytest.mark.parametrize(
@@ -966,14 +1004,14 @@ def test_protocol_allocates_no_window_square_array():
     # bands, BAND_BLOCK at a time, and the one base vector the targets are
     # shifted views of stay under half of one float64 W x W array. The branch
     # kernel the run takes holds 11 rows of W, no more than the band kernel's 64,
-    # the stay-class chain two (cap + 2) x W arrays, cap = 3, and the diagonal
-    # chain a few vectors of W
+    # and the chain two (cap + 2) x W arrays, cap = 3, or with no split rows a few
+    # vectors of W
     m = 10
     psi = make_coherent(45.0, default_dim(45.0, 2 * m))
     p, lo, c, s = protocol_window(psi, m, Mode.ADD)
     width = psi.dim - lo
     assert width == 896
-    stays = dynamics._stay_count(p[lo:], m, Mode.ADD, c, s)
+    stays = dynamics._photon_chain(p[lo:], m, Mode.ADD, c, s)[1]
     assert (stays, dynamics._stay_cap(m, width)) == (2, 3)
     amps = window_amps(psi, lo)
     peaks = {}
@@ -981,8 +1019,8 @@ def test_protocol_allocates_no_window_square_array():
         ("run_protocol", lambda: run_protocol(psi, m, Mode.ADD)),
         ("band", lambda: dynamics._band_passes(amps, m, Mode.ADD, c, s)),
         ("branch", lambda: dynamics._branch_passes(amps, m, Mode.ADD, c, s, stays)),
-        ("chain", lambda: dynamics._diagonal_chain(p[lo:], m, Mode.ADD, c, s)),
-        ("stays", lambda: dynamics._stay_count(p[lo:], m, Mode.ADD, c, s)),
+        ("unsplit chain", lambda: capped_chain(lambda m, width: None, p[lo:], m, Mode.ADD, c, s)),
+        ("chain", lambda: dynamics._photon_chain(p[lo:], m, Mode.ADD, c, s)),
     ]:
         tracemalloc.start()
         try:
@@ -993,8 +1031,8 @@ def test_protocol_allocates_no_window_square_array():
     assert peaks["run_protocol"] < width * width * 8 / 2
     assert peaks["band"] < width * width * 8 / 2
     assert peaks["branch"] <= peaks["band"]
-    assert peaks["chain"] < 8 * width * 8
-    assert peaks["stays"] <= (2 * (3 + 2) + 4) * width * 8 + 65536  # and numpy's broadcast buffer
+    assert peaks["unsplit chain"] < 8 * width * 8
+    assert peaks["chain"] <= (2 * (3 + 2) + 4) * width * 8 + 65536  # and numpy's broadcast buffer
 
 
 def test_protocol_stores_no_target_per_pass():
@@ -1033,7 +1071,7 @@ def _edge_mass_before_each_pass(psi, m, mode):
     p, edges = p0[lo:], []
     for _ in range(m):
         edges.append(p[-2:].sum() if mode is Mode.ADD else p[:2].sum())
-        p = dynamics._diagonal_chain(p, 1, mode, c, s)
+        p = dynamics._photon_chain(p, 1, mode, c, s)[0]
     return lo, edges
 
 

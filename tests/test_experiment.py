@@ -1,4 +1,4 @@
-"""Config parsing, experiment runner, emitters, determinism."""
+"""Config parsing, experiment runner, renderers, determinism."""
 
 import dataclasses
 import json
@@ -40,10 +40,10 @@ from tpjc.dynamics import WINDOW_MASS_TOL, first_level_bound, window_start
 from tpjc.experiment import (
     MEMORY_BUDGET,
     ORACLE_CHECK_TIMES,
+    _distribution_csv,
+    _fidelity_csv,
     _random_joint_state,
-    emit_distribution_csv,
-    emit_fidelity_csv,
-    emit_json,
+    _result_json,
     parse_config,
 )
 
@@ -368,7 +368,7 @@ def test_run_propagates_warnings_to_result_file(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# emitters
+# renderers
 
 
 def small_result(tmp_path, m=2):
@@ -379,9 +379,7 @@ def small_result(tmp_path, m=2):
 
 def test_fidelity_csv_layout(tmp_path):
     result = small_result(tmp_path, m=2)
-    path = tmp_path / "fid.csv"
-    emit_fidelity_csv(result, path)
-    lines = path.read_text().strip().splitlines()
+    lines = _fidelity_csv(result).strip().splitlines()
     assert lines[0] == "k,fidelity"
     assert len(lines) == 1 + 3  # header + m+1 rows
     assert lines[1].split(",")[0] == "0"
@@ -390,9 +388,7 @@ def test_fidelity_csv_layout(tmp_path):
 
 def test_distribution_csv_layout(tmp_path):
     result = small_result(tmp_path)
-    path = tmp_path / "dist.csv"
-    emit_distribution_csv(result, path)
-    lines = path.read_text().strip().splitlines()
+    lines = _distribution_csv(result).strip().splitlines()
     assert lines[0] == "j,p_initial,p_final"
     total = sum(float(line.split(",")[2]) for line in lines[1:])
     assert abs(total - 1.0) < 1e-9
@@ -400,9 +396,7 @@ def test_distribution_csv_layout(tmp_path):
 
 def test_csv_serializes_17_significant_digits(tmp_path):
     result = small_result(tmp_path)
-    path = tmp_path / "fid.csv"
-    emit_fidelity_csv(result, path)
-    for line in path.read_text().strip().splitlines()[1:]:
+    for line in _fidelity_csv(result).strip().splitlines()[1:]:
         text = line.split(",")[1]
         assert float(text) == dict(result.fidelity_series)[int(line.split(",")[0])]
 
@@ -436,7 +430,7 @@ def test_outputs_read_back_exactly(tmp_path, alpha):
 def test_json_round_trip(tmp_path):
     result = small_result(tmp_path)
     path = tmp_path / "round.json"
-    emit_json(result, path)
+    path.write_text(_result_json(result))
     loaded = load_result(path)
     assert loaded == result
 
@@ -463,12 +457,19 @@ def test_load_result_rejects_corrupt_file(tmp_path, text):
         ("mean_photon_initial", True),
         ("mean_photon_final", None),
         ("mean_photon_final", 10**400),
+        ("mean_photon_final", math.nan),
         ("mandel_q_final", "0.1"),
         ("mandel_q_predicted", False),
         ("fidelity_series", [[0, "1.0"]]),
+        ("fidelity_series", [[0, 1.0], [1, math.inf]]),
         ("fidelity_series", [[0.5, 1.0]]),
+        ("fidelity_series", [[0, 1.0], [5, 1.0]]),
+        ("fidelity_series", [[1, 1.0], [1, 1.0]]),
+        ("fidelity_series", []),
         ("initial_dist", [[True, 1.0]]),
         ("final_dist", [[-1, 1.0]]),
+        ("initial_dist", lambda rows: [[j, math.nan] for j, _ in rows]),
+        ("final_dist", lambda rows: [[j, -math.inf] for j, _ in rows]),
     ],
     ids=[
         "warnings_str",
@@ -477,19 +478,27 @@ def test_load_result_rejects_corrupt_file(tmp_path, text):
         "mean_bool",
         "mean_null",
         "mean_past_float",
+        "mean_nan",
         "q_str",
         "q_bool",
         "fidelity_str",
+        "fidelity_infinity",
         "index_float",
+        "passes_gap",
+        "passes_from_one",
+        "no_passes",
         "index_bool",
         "index_negative",
+        "initial_nan",
+        "final_minus_infinity",
     ],
 )
 def test_load_result_rejects_a_misshapen_field(tmp_path, field, value):
+    # a run writes finite numbers only, and passes k = 0, 1, ..., m; a callable value
+    # rewrites the field's rows
     path = tmp_path / "result.json"
-    emit_json(small_result(tmp_path), path)
-    data = json.loads(path.read_text())
-    data[field] = value
+    data = json.loads(_result_json(small_result(tmp_path)))
+    data[field] = value(data[field]) if callable(value) else value
     path.write_text(json.dumps(data))
     with pytest.raises(IoFailure, match="result.json is not a valid result file"):
         load_result(path)
@@ -513,10 +522,9 @@ def both_dists(edit):
     ids=["final-shorter", "final-one-level-up", "no-rows", "descending", "gap", "repeated-level"],
 )
 def test_load_result_rejects_rows_off_one_window(tmp_path, edit):
-    # emit_json writes both distributions on the same levels lo, lo + 1, ..., N - 1
+    # a run writes both distributions on the same levels lo, lo + 1, ..., N - 1
     path = tmp_path / "result.json"
-    emit_json(small_result(tmp_path), path)
-    data = json.loads(path.read_text())
+    data = json.loads(_result_json(small_result(tmp_path)))
     edit(data)
     path.write_text(json.dumps(data))
     with pytest.raises(IoFailure, match="result.json is not a valid result file"):

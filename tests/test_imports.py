@@ -172,8 +172,8 @@ def test_no_run_path_function_takes_a_tolerance():
 
 # How the pass kernels store rho: the band kernel's block size, their C and S,
 # the real-path choice and the padding of their base vector, the kernels
-# themselves, the diagonal chain beside them and the rule that picks a kernel,
-# with its stay-class chain.
+# themselves, the photon-number chain that gives the distribution and the stay
+# count that picks a kernel, and that count's cap.
 # run_protocol hands _passes psi0, p and lo.
 KERNEL_STORAGE = {
     "BAND_BLOCK",
@@ -183,9 +183,7 @@ KERNEL_STORAGE = {
     "_band_passes",
     "_branch_passes",
     "_stay_cap",
-    "_stay_tails",
-    "_stay_count",
-    "_diagonal_chain",
+    "_photon_chain",
 }
 
 
