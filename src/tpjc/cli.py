@@ -4,15 +4,16 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
-from .errors import ConfigInvalid, TpjcError, TruncationTooSmall
+from .errors import ConfigInvalid, IoFailure, TpjcError, TruncationTooSmall
 from .experiment import (
     APPROX_TABLE_MAX_J,
     ORACLE_CHECK_BOUND,
     ORACLE_CHECK_DIM,
     ORACLE_CHECK_SEED,
     ORACLE_CHECK_TRIALS,
-    _write_text,
+    _write_all,
     approx_error_table,
     approx_table_csv,
     load_config,
@@ -62,9 +63,21 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _print_or_write(text: str, out: str | None) -> None:
-    """A standalone report: its text on stdout, or written to ``out``."""
+    """A standalone report: its text on stdout, or written to ``out``. A new or regular file
+    is replaced as a run's files are (for a symlink, the file it names); any other target,
+    such as /dev/null, a pipe or a directory, is opened and written in place."""
     if out:
-        _write_text(out, text)
+        try:
+            path = Path(out)
+            in_place = path.exists() and not path.is_file()
+            if in_place:
+                path.write_text(text)
+            elif path.is_symlink():
+                path = path.resolve()
+        except (OSError, RuntimeError) as exc:  # RuntimeError: a symlink loop
+            raise IoFailure(f"cannot write {out}: {exc}") from exc
+        if not in_place:
+            _write_all(path.parent, {path.name: text})
         print(f"wrote {out}")
     else:
         sys.stdout.write(text)

@@ -79,6 +79,7 @@ def evolve_closed_form(state: np.ndarray, gt: float) -> np.ndarray:
         e' = cos[Omega(n) t] e  - i sin[Omega(n) t] V^2 g
         g' = -i V^dag^2 sin[Omega(n) t] e + cos[Omega(n-2) t] g
 
+    |n, g> pairs with |n-2, e>: cos[Omega(n-2) t] is cos[Omega(n) t] two levels up, 1 on |0, g>, |1, g>.
     Returns a fresh array. The excited component is raised by two, so its
     top two amplitudes must be negligible or they would leave the
     truncated space.
@@ -87,18 +88,14 @@ def evolve_closed_form(state: np.ndarray, gt: float) -> np.ndarray:
     e, g = state[:dim], state[dim:]
     top = float(np.max(np.abs(e[max(0, dim - 2):])))
     _check_edge(top, "largest top-two excited amplitude", f"enlarge dim={dim}")
-    n = np.arange(dim, dtype=float)
-    theta = rabi_angle(n, gt)
+    theta = rabi_angle(np.arange(dim, dtype=float), gt)
     cos_w, sin_w = np.cos(theta), np.sin(theta)
+    cos_g = np.concatenate([np.ones(2), cos_w])[:dim]  # cos[Omega(n-2) t]
 
-    v2g = np.zeros(dim, dtype=complex)
-    v2g[: dim - 2] = g[2:]
+    v2g = np.concatenate([g[2:], np.zeros(2)])[:dim]
     e_new = cos_w * e - 1j * sin_w * v2g
-
-    sin_e = sin_w * e
-    raised = np.zeros(dim, dtype=complex)
-    raised[2:] = sin_e[: dim - 2]
-    g_new = -1j * raised + np.cos(rabi_angle(n - 2.0, gt)) * g
+    raised = np.concatenate([np.zeros(2), sin_w * e])[:dim]  # V^dag^2 sin[Omega(n) t] e
+    g_new = -1j * raised + cos_g * g
     return np.concatenate([e_new, g_new])
 
 
@@ -166,10 +163,9 @@ def _full_pass(rho: DensityMatrix, mode: Mode) -> DensityMatrix:
     r = rho.elems
     out = c[:, None] * r * c
     moved = s[:, None] * r * s
-    if mode is Mode.ADD:
-        out[2:, 2:] += moved[:-2, :-2]
-    else:
-        out[:-2, :-2] += moved[2:, 2:]
+    up, down = slice(2, None), slice(None, -2)
+    to, fro = (up, down) if mode is Mode.ADD else (down, up)
+    out[to, to] += moved[fro, fro]
     return DensityMatrix(out)
 
 
@@ -475,22 +471,20 @@ def run_protocol(psi0: FockVector, m: int, mode: Mode) -> ProtocolResult:
 # linearized Rabi-frequency approximation quality
 
 
-def approx_error(j: int, branch: Mode) -> float:
-    """Relative error of the linearized Rabi root at Fock index j.
+def approx_error(j, branch: Mode):
+    """Relative error |n + 3/2 - Omega(n)/g| / (Omega(n)/g) of the linearized Rabi root.
 
-    ADD branch:      sqrt((j+2)(j+1)) vs j + 3/2
-    SUBTRACT branch: sqrt(j(j-1))     vs j - 1/2   (needs j >= 2)
-
+    n = j on the ADD branch and n = j - 2 on SUBTRACT: the ground-state pair of
+    |j, g> is the excited pair two levels down, sqrt(j(j-1)) vs j - 1/2 (needs
+    j >= 2). ``j`` is an int, giving a float, or an int array, giving an array.
     Decreases like 1/(8 j^2) for large j.
     """
-    if j < 0:
+    j = np.asarray(j)
+    if np.any(j < 0):
         raise ValueError("j must be >= 0")
-    if branch is Mode.ADD:
-        exact = rabi_angle(j, 1.0)
-        approx = j + 1.5
-    else:
-        if j < 2:
-            raise ValueError("subtract branch needs j >= 2 for a nonzero reference")
-        exact = rabi_angle(j - 2, 1.0)
-        approx = j - 0.5
-    return float(abs(approx - exact) / exact)
+    n = j - (0 if branch is Mode.ADD else 2)
+    if np.any(n < 0):
+        raise ValueError("subtract branch needs j >= 2 for a nonzero reference")
+    exact = rabi_angle(n, 1.0)
+    err = abs(n + 1.5 - exact) / exact
+    return float(err) if err.ndim == 0 else err

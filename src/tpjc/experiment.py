@@ -162,13 +162,6 @@ def load_config(path: str | Path) -> ExperimentConfig:
 # serialization (shortest round-trip float repr, deterministic bytes)
 
 
-def _write_text(path: str | Path, text: str) -> None:
-    try:
-        Path(path).write_text(text)
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
-
-
 def _result_json(result: ProtocolResult) -> str:
     """Full result as JSON, one line per ProtocolResult field, in field order."""
     lines = ",\n".join(
@@ -276,16 +269,16 @@ def _write_all(out: Path, texts: dict[str, str]) -> list[Path]:
 def approx_error_table(max_j: int) -> list[tuple[int, float, float]]:
     """(j, add-branch error, subtract-branch error) for j = 0..max_j.
 
-    The subtract branch has a zero reference value below j = 2; those
-    entries are NaN. max_j is bounded at 10^6: the rows take ~430 B each.
+    The subtract branch is the add branch at j - 2, so its column is the add
+    column two rows down; it has a zero reference value below j = 2, and
+    those entries are NaN. max_j is bounded at 10^6: the rows take ~430 B each.
     """
     _integer("max_j", max_j, 0, 10**6)
-    rows = []
-    for j in range(max_j + 1):
-        add_err = approx_error(j, Mode.ADD)
-        sub_err = approx_error(j, Mode.SUBTRACT) if j >= 2 else float("nan")
-        rows.append((j, add_err, sub_err))
-    return rows
+    j = np.arange(max_j + 1)
+    add = approx_error(j, Mode.ADD)
+    sub = np.full(j.size, np.nan)
+    sub[2:] = add[:-2]
+    return list(zip(j.tolist(), add.tolist(), sub.tolist()))
 
 
 def approx_table_csv(rows: list[tuple[int, float, float]]) -> str:

@@ -134,23 +134,19 @@ def ideal_state(psi: FockVector, m: int, mode: Mode) -> FockVector:
 
 
 def apply_A(state: FockVector, m: int, mode: Mode) -> FockVector:
-    """Deformed annihilation operator with the n-dependent factor left of a.
+    """Deformed annihilation operator f(n) a with the n-dependent factor left of a:
 
-    ADD:      sqrt((n - 2m + 1)/(n + 1)) a
-    SUBTRACT: sqrt((n + 2m + 1)/(n + 1)) a
+        f(n)^2 = (n + 1 -+ 2m)/(n + 1),   - for ADD, + for SUBTRACT
 
-    For ADD the factor argument is negative on components below 2m - 1;
+    clipped at 0. For ADD it is negative on components below 2m - 1;
     genuine 2m-added states carry no amplitude there, so the factor is
-    defined as 0 on them.
+    defined as 0 on them. For SUBTRACT the clip never acts.
     """
     lowered = apply_annihilation(state)
-    j = np.arange(state.dim, dtype=float)
-    if mode is Mode.ADD:
-        arg = (j - 2.0 * m + 1.0) / (j + 1.0)
-        arg = np.where(arg < 0.0, 0.0, arg)
-    else:
-        arg = (j + 2.0 * m + 1.0) / (j + 1.0)
-    return FockVector(np.sqrt(arg) * lowered.amps)
+    sign = -1.0 if mode is Mode.ADD else 1.0
+    n = np.arange(state.dim, dtype=float)
+    f2 = np.maximum((n + sign * 2.0 * m + 1.0) / (n + 1.0), 0.0)
+    return FockVector(np.sqrt(f2) * lowered.amps)
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -250,12 +251,12 @@ OUTPUT_NAMES = ("result.json", "fock_dist.csv", "fidelity_series.csv", "mandel_q
 
 
 def failing_write(monkeypatch, name):
-    """Make writing ``name``'s temporary file fail, once it exists, as on a full disk."""
+    """Make writing ``name`` or its temporary file fail, once it is open, as on a full disk."""
     real_open = Path.open
 
     def open_then_fail(self, mode="r", *args, **kwargs):
         handle = real_open(self, mode, *args, **kwargs)
-        if self.name.startswith(f".{name}.") and "x" in mode:
+        if (self.name == name or self.name.startswith(f".{name}.")) and ("x" in mode or "w" in mode):
             handle.close()
             raise OSError(28, "No space left on device")
         return handle
@@ -398,6 +399,77 @@ def test_oracle_check_reports_unwritable_report(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.count("\n") == 1
     assert captured.err.startswith(f"error: cannot write {path}: ")
+
+
+REPORTS = pytest.mark.parametrize(
+    "args",
+    [["approx-table", "--max-j", "5"], ["oracle-check", "--dim", "8", "--trials", "1"]],
+    ids=["approx-table", "oracle-check"],
+)
+
+
+@REPORTS
+def test_report_write_that_fails_keeps_the_previous_report(tmp_path, capsys, monkeypatch, args):
+    # a report is written as a run's files are: a write that fails once the file is
+    # open leaves the previous report's bytes and no temporary behind
+    path = tmp_path / "report"
+    assert main([*args[:-1], "3", "--out", str(path)]) == 0
+    before = path.read_bytes()
+    failing_write(monkeypatch, path.name)
+    capsys.readouterr()
+    assert main([*args, "--out", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(f"error: cannot write {path}: ")
+    assert path.read_bytes() == before
+    assert [f.name for f in tmp_path.iterdir()] == [path.name]
+
+
+@REPORTS
+def test_report_through_a_symlink_replaces_the_file_it_names(tmp_path, capsys, args):
+    # the link stays a link; the file it names gets the report, and no temporary remains
+    (tmp_path / "real").mkdir()
+    target = tmp_path / "real" / "report"
+    target.write_text("old")
+    link = tmp_path / "link"
+    link.symlink_to(target)
+    assert main([*args, "--out", str(link)]) == 0
+    assert capsys.readouterr().out == f"wrote {link}\n"
+    assert main(args) == 0
+    assert link.is_symlink() and target.read_text() == capsys.readouterr().out
+    assert sorted(f.name for f in tmp_path.rglob("*")) == ["link", "real", "report"]
+
+
+@REPORTS
+def test_report_to_a_pipe_is_written_in_place(tmp_path, capsys, args):
+    # a target that is not a regular file (a pipe here, /dev/null alike) is opened and
+    # written, never replaced by a renamed temporary
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_text()), daemon=True)
+    reader.start()
+    assert main([*args, "--out", str(fifo)]) == 0
+    reader.join(timeout=30)
+    assert main(args) == 0
+    assert received == [capsys.readouterr().out.removeprefix(f"wrote {fifo}\n")]
+    assert fifo.is_fifo() and [f.name for f in tmp_path.iterdir()] == ["pipe"]
+
+
+@REPORTS
+@pytest.mark.parametrize("out", ["missing/r", ".", "/", "loop"])
+def test_report_to_an_unwritable_target_is_one_line(tmp_path, capsys, monkeypatch, args, out):
+    # a missing directory, a directory (whose name may be empty) or a symlink loop:
+    # one diagnostic line and exit 1, never a traceback
+    monkeypatch.chdir(tmp_path)
+    Path("loop").symlink_to("loop")
+    assert main([*args, "--out", out]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(f"error: cannot write {out}: ")
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["loop"]
 
 
 def test_oracle_check_reports_failure(capsys, monkeypatch):

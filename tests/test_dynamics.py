@@ -1265,6 +1265,51 @@ def test_approx_error_domain():
         approx_error(1, Mode.SUBTRACT)
 
 
+# j up to the table's 10^6: every j below 20000, a stride above, and the top
+APPROX_J = np.unique(np.r_[np.arange(20000), np.arange(20000, 10**6, 97), 10**6 - 1, 10**6])
+
+
+@pytest.mark.parametrize("branch", list(Mode))
+def test_approx_error_on_an_int_array_is_the_scalar_calls_bitwise(branch):
+    j = APPROX_J[APPROX_J >= (0 if branch is Mode.ADD else 2)]
+    errors = approx_error(j, branch)
+    assert errors.dtype == np.float64 and errors.shape == j.shape
+    scalars = [approx_error(int(k), branch) for k in j]
+    assert all(type(e) is float for e in scalars)
+    assert errors.tobytes() == np.array(scalars).tobytes()
+
+
+@pytest.mark.parametrize(
+    "branch, below, message",
+    [
+        (Mode.ADD, -1, "j must be >= 0"),
+        (Mode.SUBTRACT, -1, "j must be >= 0"),
+        (Mode.SUBTRACT, 0, "subtract branch needs j >= 2 for a nonzero reference"),
+        (Mode.SUBTRACT, 1, "subtract branch needs j >= 2 for a nonzero reference"),
+    ],
+)
+def test_approx_error_on_an_array_raises_the_scalar_error_below_the_domain(branch, below, message):
+    # one value below the branch's domain fails the whole array, as the scalar call fails
+    for j in (below, np.array([below, 5, 10**6]), np.array([10**6, below])):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            approx_error(j, branch)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 64])
+@pytest.mark.parametrize("gt", [0.3, math.pi, 7.1])
+def test_closed_form_scales_a_ground_basis_state_by_the_rabi_angle_two_levels_down(dim, gt):
+    # |n, g> pairs with |n-2, e>: it keeps cos[Omega(n-2) t] of itself, exactly 1 on the
+    # dark |0, g> and |1, g>, and moves -i sin[Omega(n-2) t] to |n-2, e>
+    for n in range(dim):
+        state = np.zeros(2 * dim, dtype=complex)
+        state[dim + n] = 1.0
+        expected = np.zeros(2 * dim, dtype=complex)
+        expected[dim + n] = np.cos(rabi_angle(n - 2, gt))
+        if n >= 2:
+            expected[n - 2] = -1j * np.sin(rabi_angle(n - 2, gt))
+        assert np.array_equal(evolve_closed_form(state, gt), expected)
+
+
 def test_protocol_that_an_add_target_would_stop_stops_before_the_first_pass(monkeypatch):
     # the m-step target's top 2m amplitudes cover every k-step target's top 2k
     calls = counted_kernels(monkeypatch)

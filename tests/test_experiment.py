@@ -21,6 +21,7 @@ from tpjc import (
     IoFailure,
     Mode,
     TruncationTooSmall,
+    approx_error,
     approx_error_table,
     build_hamiltonian,
     evolve_closed_form,
@@ -625,6 +626,16 @@ def test_approx_error_table_shape():
     assert math.isnan(rows[0][2]) and math.isnan(rows[1][2])
     assert rows[2][2] > 0
     assert rows[3][1] == pytest.approx(6.2305898749053634e-3)
+
+
+def test_approx_error_table_subtract_column_is_the_add_column_two_rows_down():
+    # at the largest admitted max_j, bitwise: the subtract branch is the add branch at j - 2
+    j, add, sub = (np.array(column) for column in zip(*approx_error_table(10**6)))
+    assert j.tolist() == list(range(10**6 + 1))
+    assert np.isnan(sub[:2]).all() and not np.isnan(sub[2:]).any()
+    assert sub[2:].tobytes() == add[:-2].tobytes()
+    assert sub[2:].tobytes() == approx_error(j[2:], Mode.SUBTRACT).tobytes()
+    assert add.tobytes() == approx_error(j, Mode.ADD).tobytes()
 
 
 # Every count the experiment layer takes, as (name in the message, call, lo,

@@ -217,6 +217,22 @@ def test_apply_A_subtract_on_fock_one():
     np.testing.assert_allclose(out.amps, expected, atol=1e-15)
 
 
+@pytest.mark.parametrize("m", [0, 1, 3, 10])
+def test_apply_A_factor_is_each_directions_own_formula_bitwise(m):
+    # f^2 = (n + 1 -+ 2m)/(n + 1) clipped at 0 is (n - 2m + 1)/(n + 1) clipped at 0 for
+    # ADD and (n + 2m + 1)/(n + 1) for SUBTRACT, each written out on its own
+    psi = make_coherent(3.0 - 2.0j, 64)
+    lowered = apply_annihilation(psi).amps
+    n = np.arange(64, dtype=float)
+    add = (n - 2.0 * m + 1.0) / (n + 1.0)
+    factors = {
+        Mode.ADD: np.sqrt(np.where(add < 0.0, 0.0, add)),
+        Mode.SUBTRACT: np.sqrt((n + 2.0 * m + 1.0) / (n + 1.0)),
+    }
+    for mode, factor in factors.items():
+        assert apply_A(psi, m, mode).amps.tobytes() == (factor * lowered).tobytes()
+
+
 def test_apply_A_m0_is_annihilation():
     rng = np.random.default_rng(23)
     psi = random_state(rng, 20)
