@@ -63,18 +63,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _print_or_write(text: str, out: str | None) -> None:
-    """A standalone report: its text on stdout, or written to ``out``. A new or regular file
-    is replaced as a run's files are (for a symlink, the file it names); any other target,
-    such as /dev/null, a pipe or a directory, is opened and written in place."""
+    """A standalone report: its text on stdout, or written to ``out``. A new or regular file,
+    or a symlink to one, is written as a run's files are; any other target, such as /dev/null,
+    a pipe or a directory, is opened and written in place."""
     if out:
+        path = Path(out)
         try:
-            path = Path(out)
             in_place = path.exists() and not path.is_file()
             if in_place:
                 path.write_text(text)
-            elif path.is_symlink():
-                path = path.resolve()
-        except (OSError, RuntimeError) as exc:  # RuntimeError: a symlink loop
+        except OSError as exc:
             raise IoFailure(f"cannot write {out}: {exc}") from exc
         if not in_place:
             _write_all(path.parent, {path.name: text})

@@ -24,7 +24,11 @@ Every map takes C and S from :func:`_pass_diagonals`, whose S drops what a pass 
 of the window. :func:`_passes` runs the chain once, :func:`_photon_chain`, for the final
 distribution and the stay count F, then one of two kernels, which compute F(k) only and
 own how rho is stored (float64 for coherent inputs). :func:`_band_passes` runs the map on
-the bands d >= 0 of one matrix. :func:`_branch_passes` runs the operator sum rho_k =
+the bands d >= 0 of one matrix in the co-moving frame y = i -+ 2k, where every target is psi0
+itself, a move keeps y and a stay shifts it by 2; it keeps only the A levels [lo, hi) of
+:func:`_band_range`, found once from psi0, at a certified cost to F of at most
+2 delta ||a||_1 + (k + 1) eps ||a||_1^2 <= WINDOW_MASS_TOL, so a run costs m A^2 / 2 entry
+updates where the window would cost m W^2 / 2. :func:`_branch_passes` runs the operator sum rho_k =
 sum x x^dag over the branches x = K_k .. K_1 v, K a stay C or a move: far up the ladder
 c_n^2 ~ (pi / 8n)^2, so it keeps only the branches with at most F stays. F is the smallest
 count whose dropped branches hold at most WINDOW_MASS_TOL of the trace after every pass,
@@ -201,47 +205,88 @@ def pass_subtract(rho: DensityMatrix) -> DensityMatrix:
 BAND_BLOCK = 32
 
 
+def _band_range(amps, m: int, mode: Mode) -> tuple[int, int]:
+    """The levels [lo, hi) of ``amps`` that :func:`_band_passes` keeps: the narrowest range
+    whose certificate 2 delta ||a||_1 + (m + 1) eps ||a||_1^2 is at most WINDOW_MASS_TOL, with
+    delta the sum of |a| past the end entries could enter from (the top for ADD) and eps the
+    largest |a| past the end they leave by (the bottom for ADD); SUBTRACT is the mirror image."""
+    mag = np.abs(amps if mode is Mode.ADD else amps[::-1])  # exit end first, entry end last
+    l1 = mag.sum()
+    # [lo]: the exit end's term of a cut at lo, [hi]: the entry end's of a cut at hi
+    exit_cost = (m + 1) * l1 * l1 * np.concatenate([[0.0], np.maximum.accumulate(mag)])
+    entry_cost = 2 * l1 * np.concatenate([np.cumsum(mag[::-1])[::-1], [0.0]])
+    fits = exit_cost <= WINDOW_MASS_TOL  # a prefix: eps only grows with lo
+    his = np.searchsorted(-entry_cost, exit_cost[fits] - WINDOW_MASS_TOL)  # the first hi that fits each lo
+    lo = int(np.argmin(his - np.arange(his.size)))
+    hi = max(lo, int(his[lo]))
+    return (lo, hi) if mode is Mode.ADD else (mag.size - hi, mag.size - lo)
+
+
 def _band_passes(amps, m: int, mode: Mode, c, s) -> np.ndarray:
-    """F(0..m) of m passes from rho = |a><a| on a Fock window of W levels, a =
-    ``amps``, whose C and S are ``c`` and ``s``. rho is held as its bands
-    b_d(i) = rho_{i,i+d}, d >= 0 (a pass keeps i - j), BAND_BLOCK at a time,
-    each entry rounded as :func:`_full_pass` rounds it: float64 R, rho_ij =
-    e^{i(psi_i - psi_j)} R_ij, when ``amps`` is |v| (:func:`_passes` hands |v|
-    where v's phases pass ``_has_phase_ramp``), else complex.
-    Pass k is scored against one base vector (``amps``, zero off the window, 2m
-    levels past each end) shifted 2k up (ADD) or down: the k-step ladder state
-    but for its norm and its phases i^k (-1)^(jk), (-1)^(dk) on band d. v holds
-    < WINDOW_MASS_TOL below the window, where an ADD target reads zeros. S drops
-    what leaves the window, so entries past a band's end stay zero.
+    """F(0..m) of m passes from rho = |a><a| on a Fock window, a = ``amps``, whose C and S are
+    ``c`` and ``s``. rho is held as its bands b_d(y) = rho_{y,y+d}, d >= 0 (a pass keeps the
+    difference), BAND_BLOCK at a time, each entry rounded as :func:`_full_pass` rounds it:
+    float64 R, rho_ij = e^{i(psi_i - psi_j)} R_ij, when ``amps`` is |v| (:func:`_passes` hands
+    |v| where v's phases pass ``_has_phase_ramp``), else complex.
+
+    The bands live in the co-moving frame y = i - 2k (ADD) or y = i + 2k (SUBTRACT) of window
+    level i after pass k, where pass k's target is ``amps`` at y itself: the k-step ladder state
+    but for its norm and its phases i^k (-1)^(jk), (-1)^(dk) on band d. A move keeps y, and a
+    stay shifts it by 2, down (ADD) or up, so C and S are read at the source level i through
+    views offset by 2(k - 1) a pass. Only y in [lo, hi) of :func:`_band_range`, found once from
+    ``amps``, is kept, A = hi - lo levels: bands d >= A drop out, the blocks are B x A, and a run
+    costs m A^2 / 2 entry updates. Entries enter [lo, hi) only past hi (ADD; past lo for
+    SUBTRACT), where the cut drops delta = sum |a_y| of the base, and leave it only by a stay
+    past lo (ADD; past hi), where every later target reads |a_y| <= eps, and are dropped there.
+    The map's weights |c_u c_v| + |s_u s_v| <= 1, so it does not grow sum |rho_uv|, which starts
+    at ||a||_1^2; each entry dropped on leaving is scored at most eps on every later pass. So
+    for unit ``amps`` |F~(k) - F(k)| <= 2 delta ||a||_1 + (k + 1) eps ||a||_1^2 against the map on
+    the whole window, at most WINDOW_MASS_TOL, times 1 / (1 - S_k) on a SUBTRACT F. S drops what
+    leaves the window, and C and S read zero past it.
     """
-    width = amps.size
-    base = np.pad(amps, (2 * m, 2 * m + BAND_BLOCK))  # base[2m + t] is a_t
-    c, s = (np.pad(a, (0, BAND_BLOCK - 1)) for a in (c, s))
+    lo, hi = _band_range(amps, m, mode)
+    width = hi - lo
+    base = np.concatenate([amps[lo:hi], np.zeros(BAND_BLOCK - 1)])  # base[y - lo] is a_y, zero past hi
+    # c, s on the levels pass 1 .. m reads, from its lowest: y + 2(k - 1) for ADD, y - 2(k - 1)
+    up = mode is Mode.ADD
+    first = lo if up else lo - 2 * max(m - 1, 0)
+    stop = (hi + 2 * max(m - 1, 0) if up else hi) + BAND_BLOCK - 1
+    pads = np.zeros(max(-first, 0)), np.zeros(max(stop - c.size, 0))  # zeros off the window
+    c, s = (np.concatenate([pads[0], a[max(first, 0) : stop], pads[1]]) for a in (c, s))
     # row q of a view is its vector from q on; block d0 reads columns d0:
-    c_v, s_v, shifts = (np.lib.stride_tricks.sliding_window_view(a, width) for a in (c, s, base))
+    c_v, s_v, targets = (np.lib.stride_tricks.sliding_window_view(a, width) for a in (c, s, base))
     scores = np.zeros((m + 1, -(-width // BAND_BLOCK)))  # F(k)'s share from each block
-    block, scratch = np.empty((2, BAND_BLOCK * width), dtype=base.dtype)
+    buffers = np.empty((2, BAND_BLOCK * width), dtype=base.dtype)
     for j, d0 in enumerate(reversed(range(0, width, BAND_BLOCK))):  # this order fixes F's sums and the pins
-        n = width - d0  # row r of a block is band d0 + r on i < n, and c_d's row r is c_{i+d0+r}
-        c_d, s_d = c_v[:, d0:], s_v[:, d0:]
-        x, moved = (a[: BAND_BLOCK * n].reshape(BAND_BLOCK, n) for a in (block, scratch))
-        np.multiply(np.conj(shifts[2 * m : 2 * m + BAND_BLOCK, d0:], out=x), shifts[2 * m, :n], out=x)
+        n = width - d0  # row r of a block is band d0 + r on y < lo + n, and target row r is a_{y+d0+r}
+        c_d, s_d, t_d, t_0 = c_v[:, d0:], s_v[:, d0:], targets[:, d0:], base[:n].conj()
+        # pass k takes rho from block (k - 1) % 2 to the other: its moves, and its stays shifted
+        # by two on the flat form. A stay that leaves [lo, hi) leaves its band: from a row's first
+        # two entries (ADD), or past the band's end (SUBTRACT), where no target reads it, up to
+        # the row's last two. Those two entries per row are zeroed first, so no row takes the next's
+        flat = list(buffers[:, : BAND_BLOCK * n])
+        blocks = [a.reshape(BAND_BLOCK, n) for a in flat]
+        plans = [
+            (x, moved, x[1:, :2], to[:-2], fro[2:]) if up else (x, moved, x[:-1, -2:], to[2:], fro[:-2])
+            for x, moved, fro, to in zip(blocks, blocks[::-1], flat, flat[::-1])
+        ]
+        rho, spare = blocks
+        np.multiply(np.conj(t_d, out=rho), base[:n], out=rho)
         weight = np.where(d0 + np.arange(BAND_BLOCK), 2.0, 1.0)  # band -d is conj(band d); band 0 counts once
         odd = weight * (-1.0) ** (d0 + np.arange(BAND_BLOCK))  # odd k's (-1)^(dk)
-        # the shift-add on the flat block, so numpy buffers nothing: S is zero on
-        # the two entries a row would push past its end, into the next row
-        flat_x, flat_moved = block[: BAND_BLOCK * n], scratch[: BAND_BLOCK * n]
-        to, fro = (flat_x[2:], flat_moved[:-2]) if mode is Mode.ADD else (flat_x[:-2], flat_moved[2:])
         for k in range(m + 1):
             if k:
-                np.multiply(x, s[:n], out=moved)
-                moved *= s_d
-                x *= c[:n]
-                x *= c_d
+                x, moved, edge, to, fro = plans[(k - 1) % 2]
+                q = 2 * (k - 1 if up else m - k)  # y's level before pass k is entry q + y - lo of c, s
+                np.multiply(x, s[q : q + n], out=moved)
+                moved *= s_d[q : q + BAND_BLOCK]
+                x *= c[q : q + n]
+                x *= c_d[q : q + BAND_BLOCK]
+                edge.fill(0.0)
                 to += fro
-            t = 2 * (m - k if mode is Mode.ADD else m + k)  # target k is shifts[t, :n] = base[t : t + n]
-            np.multiply(x, shifts[t : t + BAND_BLOCK, d0:], out=moved)
-            scores[k, j] = (odd if k % 2 else weight) @ (moved @ shifts[t, :n].conj()).real
+                rho, spare = moved, x
+            np.multiply(rho, t_d, out=spare)
+            scores[k, j] = (odd if k % 2 else weight) @ (spare @ t_0).real
     return scores.sum(axis=1)
 
 
@@ -321,7 +366,8 @@ def window_start(first: int, m: int, mode: Mode) -> int:
 def _stay_cap(m: int, width: int) -> int | None:
     """The largest stay count F :func:`_branch_passes` may run for m passes on a window of
     ``width`` levels, or None where F = 0 already fails. The branches with at most F stays
-    update m + sum_{f=1..F} C(m+1, f+1) rows of W, the band kernel m (W+1)/2 per level; they
+    update m + sum_{f=1..F} C(m+1, f+1) rows of W, the band kernel at most m (W+1)/2 per level
+    (m (A+1)/2 on its range of A <= W levels, which the rule does not compute); they
     hold 1 + sum_{f<F} C(m-1, f) rows of W at once, the band kernel its block and scratch,
     2 BAND_BLOCK rows. F grows only while the branches cost less and hold no more, so every
     count read as a float stays below that cost. F = m keeps every history.

@@ -11,7 +11,6 @@ byte-identical files.
 
 from __future__ import annotations
 
-import errno
 import json
 import math
 import os
@@ -240,22 +239,25 @@ def _distribution_csv(result: ProtocolResult) -> str:
 
 def _write_all(out: Path, texts: dict[str, str]) -> list[Path]:
     """Write each text to its file in ``out``, all or nothing: each goes to a fresh temporary
-    file in ``out``, and only once all are written do renames replace the files. A name held
-    by a directory, onto which a rename would fail midway, fails before the first rename.
-    On a failure the temporaries are removed, and no file has changed."""
+    file beside the file it replaces, and only once all are written do renames replace the files.
+    A symlinked name has the file it names replaced, so the link stays. A name that is neither
+    new nor a regular file (a directory, a FIFO, a device), or a symlink loop, fails before the
+    first write. On a failure the temporaries are removed, and no file has changed."""
     paths = [out / name for name in texts]
+    targets: list[Path] = []
     temps: list[Path] = []
     try:
-        for path, text in zip(paths, texts.values()):
-            temps.append(path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp"))
+        for path in paths:
+            targets.append(path.resolve() if path.is_symlink() else path)
+            if targets[-1].exists() and not targets[-1].is_file():
+                raise OSError(f"{targets[-1]} is not a regular file")
+        for path, target, text in zip(paths, targets, texts.values()):
+            temps.append(target.with_name(f".{target.name}.{uuid.uuid4().hex}.tmp"))
             with temps[-1].open("x") as f:  # created as write_text creates a file
                 f.write(text)
-        for path in paths:
-            if path.is_dir() and not path.is_symlink():
-                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
-        for temp, path in zip(temps, paths):
-            os.replace(temp, path)
-    except OSError as exc:
+        for path, target, temp in zip(paths, targets, temps):
+            os.replace(temp, target)
+    except (OSError, RuntimeError) as exc:  # RuntimeError: a symlink loop
         for temp in temps:
             temp.unlink(missing_ok=True)
         raise IoFailure(f"cannot write {path}: {exc}") from exc

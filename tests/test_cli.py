@@ -285,6 +285,50 @@ def test_run_outputs_land_all_or_nothing(tmp_path, capsys, monkeypatch, name, ho
     assert sorted(f.name for f in out_dir.iterdir()) == sorted(OUTPUT_NAMES)
 
 
+
+def test_run_through_a_symlinked_output_replaces_the_file_it_names(tmp_path):
+    # the link stays a link and the file it names gets the run's bytes, as a fresh
+    # run writes them; no temporary remains beside the link or the file
+    out_dir, fresh = tmp_path / "out", tmp_path / "fresh"
+    assert main(["run", str(write_config(tmp_path, m=2)), "--out", str(out_dir)]) == 0
+    (tmp_path / "elsewhere").mkdir()
+    target = tmp_path / "elsewhere" / "result.json"
+    target.write_text("old")
+    (out_dir / "result.json").unlink()
+    (out_dir / "result.json").symlink_to(target)
+    config = write_config(tmp_path, m=1)
+    assert main(["run", str(config), "--out", str(out_dir)]) == 0
+    assert main(["run", str(config), "--out", str(fresh)]) == 0
+    assert (out_dir / "result.json").is_symlink()
+    assert target.read_bytes() == (fresh / "result.json").read_bytes()
+    assert sorted(f.name for f in out_dir.iterdir()) == sorted(OUTPUT_NAMES)
+    assert [f.name for f in target.parent.iterdir()] == ["result.json"]
+
+
+@pytest.mark.parametrize("kind", ["fifo", "link-to-fifo", "symlink-loop"])
+@pytest.mark.parametrize("name", ["result.json", "mean_photon.json"])
+def test_run_onto_an_output_that_is_not_a_regular_file_writes_nothing(tmp_path, capsys, name, kind):
+    # a name held by a pipe (or a device), directly or through a link, or a symlink
+    # loop: one line, exit 1, before any file is written or the pipe is opened
+    out_dir = tmp_path / "out"
+    assert main(["run", str(write_config(tmp_path, m=2)), "--out", str(out_dir)]) == 0
+    path = out_dir / name
+    path.unlink()
+    if kind == "symlink-loop":
+        path.symlink_to(name)
+    else:
+        os.mkfifo(tmp_path / "pipe" if kind == "link-to-fifo" else path)
+        if kind == "link-to-fifo":
+            path.symlink_to(tmp_path / "pipe")
+    before = {f.name: f.read_bytes() for f in out_dir.iterdir() if f.name != name}
+    capsys.readouterr()
+    assert main(["run", str(write_config(tmp_path, m=1)), "--out", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"error: cannot write {path}: ")
+    assert {f.name: f.read_bytes() for f in out_dir.iterdir() if f.name != name} == before
+    assert sorted(f.name for f in out_dir.iterdir()) == sorted(OUTPUT_NAMES)
+    assert path.is_symlink() or path.is_fifo()
+
 def test_run_over_previous_outputs_writes_a_fresh_runs_bytes(tmp_path):
     # the five files replace the previous run's, as a fresh run writes them and with
     # the mode a plain write gives a new file, and no temporary is left
@@ -590,11 +634,19 @@ def test_shipped_configs_are_valid():
 # it: 10 of subtract_alpha12's 51 F values moved by 1 or 2 ulp (at most
 # 2.2e-16), so its result.json and fidelity_series.csv changed; add_alpha5's
 # F values are bit-identical, and every other byte of both configs held.
+# The band kernel now runs in the co-moving frame on the levels the base vector
+# holds, 121 of add_alpha5's 256, so its BLAS products sum shorter rows and F
+# sums over 4 blocks, not 8: 5 of add_alpha5's 51 F values (k = 7, 8, 33, 35,
+# 49) rose by 1 ulp (1.1e-16), each toward the 80-bit reference (tests/
+# test_reference80.py's loop at dim 256: at k = 49, 9.4e-16 -> 8.3e-16; the
+# largest distance, 9.7e-16, is unchanged), so its result.json and
+# fidelity_series.csv changed. subtract_alpha12's F values are bit-identical,
+# and every distribution, mean and Q byte of both configs held.
 SHIPPED_OUTPUT_SHA256 = {
     "add_alpha5.json": {
-        "result.json": "f45a1c250b37ac193e4de0797010d83d7e677990b558f53438a4f31af9f51ae2",
+        "result.json": "3e9f75e07a9d93f92ed16fd729f2e6c64a83afe4d8721808ed360b3140797178",
         "fock_dist.csv": "4fb1b2546bca7cf4e0ca4d5e8178d5c2baed01c4868c4c902e9b81d044f08ca9",
-        "fidelity_series.csv": "526c327484ee01f79fa1decbf91637a8de1bc6db74219ec2e253e6eb8f88a857",
+        "fidelity_series.csv": "99cae65e60c76494eecccb6039046b1b464e17efdbcfd364cf73b0e1b733a281",
         "mandel_q.json": "e9435127e5e2024f68823fcd541bf3b174cf544fa657d08d74a1997b1fa056a2",
         "mean_photon.json": "6b15512fe900b92abfd827905160742be79bf03744159162433f5031111bd41b",
     },

@@ -589,8 +589,8 @@ SCALE_PHASE = random.Random(0).uniform(0.0, 2.0 * math.pi)
 def dense_window_scores(amps, lo, m, mode):
     """F(0..m) of the pass map on the window [lo, lo + W) of ``amps``, as a dense
     W x W loop whose C and S come from rabi_angle and whose moves drop by slicing
-    what leaves the window; pass k is scored against ``amps`` shifted 2k with
-    the ladder phases (-1)^(jk)."""
+    what leaves the window (the arithmetic of _full_pass, which runs at lo = 0);
+    pass k is scored against ``amps`` shifted 2k with the ladder phases (-1)^(jk)."""
     width = amps.size
     theta = rabi_angle(lo + np.arange(width) - (0 if mode is Mode.ADD else 2), np.pi)
     c, s = np.cos(theta), np.sin(theta)
@@ -635,6 +635,78 @@ def test_kernels_drop_what_leaves_the_window(mode, lo, real):
     branch = dynamics._branch_passes(amps, m, mode, c, s, m)
     for scores in (band, branch):
         np.testing.assert_allclose(scores, expected, rtol=0, atol=1e-14)
+
+
+def band_window(alpha, dim, real):
+    """|alpha>'s amplitudes at ``dim`` as the band kernel gets them at lo = 0: |v| on the real
+    path, else with seeded random phases, which run complex."""
+    amps = np.abs(make_coherent(alpha, dim).amps)
+    return amps if real else amps * np.exp(2j * np.pi * np.random.default_rng(dim).random(dim))
+
+
+# (|alpha|, dim, mode) -> the range [lo, hi) the band kernel keeps over 50 passes: the shipped
+# configs' inputs, cut at the top at alpha = 5 and at the bottom at alpha = 12, in either mode
+BAND_RANGES = {
+    (5.0, 256, Mode.ADD): (0, 121),
+    (5.0, 256, Mode.SUBTRACT): (0, 127),
+    (12.0, 320, Mode.ADD): (11, 320),
+    (12.0, 320, Mode.SUBTRACT): (15, 320),
+}
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+@pytest.mark.parametrize("alpha, dim, mode", BAND_RANGES, ids=lambda v: getattr(v, "name", v))
+def test_band_kernel_keeps_its_range_and_matches_the_full_pass_loop(alpha, dim, mode, real):
+    # the shipped configs' inputs in both modes, against the dense _full_pass loop on the
+    # window: the co-moving frame keeps only the range, and its certificate holds the
+    # scores within WINDOW_MASS_TOL, far below rounding
+    m = 50
+    amps = band_window(alpha, dim, real)
+    c, s = dynamics._pass_diagonals(0, dim, mode)
+    assert dynamics._band_range(amps, m, mode) == BAND_RANGES[alpha, dim, mode]
+    band = dynamics._band_passes(amps, m, mode, c, s)
+    np.testing.assert_allclose(band, dense_window_scores(amps, 0, m, mode), rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+@pytest.mark.parametrize("mode", [Mode.ADD, Mode.SUBTRACT])
+def test_band_kernel_error_is_within_its_certificate(monkeypatch, mode, real):
+    # WINDOW_MASS_TOL = 1e-4 cuts both ends of alpha = 12, at delta ~ 4e-6 and eps ~ 3e-8: F
+    # then moves by ~5e-12, far above rounding, and by no more than the certificate
+    # 2 delta ||a||_1 + (k + 1) eps ||a||_1^2, which is a worst case: a dropped entry
+    # a_u a_v is scored against a_u a_v, so F moves by about delta^2
+    m = 20
+    amps = band_window(12.0, 320, real)
+    c, s = dynamics._pass_diagonals(0, amps.size, mode)
+    exact = dense_window_scores(amps, 0, m, mode)
+    monkeypatch.setattr(dynamics, "WINDOW_MASS_TOL", 1e-4)
+    lo, hi = dynamics._band_range(amps, m, mode)
+    mag, l1 = np.abs(amps), np.sum(np.abs(amps))
+    below, above = mag[:lo], mag[hi:]
+    delta, eps = (below.sum(), above.max()) if mode is Mode.SUBTRACT else (above.sum(), below.max())
+    bound = 2 * delta * l1 + (np.arange(m + 1) + 1) * eps * l1 * l1
+    assert 0 < lo < hi < amps.size and min(delta, eps) > 1e-8 and bound[-1] <= 1e-4
+    error = np.abs(dynamics._band_passes(amps, m, mode, c, s) - exact)
+    assert 1e-12 < np.max(error) and np.all(error <= bound)
+
+
+def test_band_kernel_memory_is_its_range_not_its_window():
+    # at |alpha| = 5, m = 2000 the add window is W = 4099 levels, of which the
+    # kernel keeps A = 121: two B x A blocks, numpy's 64 KB broadcast buffer, and
+    # vectors of W or m, where one W x W float64 array is 134 MB
+    m = 2000
+    psi = make_coherent(5.0, default_dim(5.0, 2 * m))
+    p, lo, c, s = protocol_window(psi, m, Mode.ADD)
+    amps = window_amps(psi, lo)
+    assert (lo, amps.size, dynamics._band_range(amps, m, Mode.ADD)) == (0, 4099, (0, 121))
+    tracemalloc.start()
+    try:
+        scores = dynamics._band_passes(amps, m, Mode.ADD, c, s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * dynamics.BAND_BLOCK * 121 * 8 + 65536 + 4 * (4099 + m) * 8
+    assert 0.99 < scores[-1] <= 1.0
 
 
 def smallest_certified_stays(q, m):

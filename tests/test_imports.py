@@ -170,13 +170,14 @@ def test_no_run_path_function_takes_a_tolerance():
     assert [name for name in found if name not in TOL_OVERRIDES] == []
 
 
-# How the pass kernels store rho: the band kernel's block size, their C and S,
-# the real-path choice and the padding of their base vector, the kernels
+# How the pass kernels store rho: the band kernel's block size and range, their
+# C and S, the real-path choice and the padding of their base vector, the kernels
 # themselves, the photon-number chain that gives the distribution and the stay
 # count that picks a kernel, and that count's cap.
 # run_protocol hands _passes psi0, p and lo.
 KERNEL_STORAGE = {
     "BAND_BLOCK",
+    "_band_range",
     "_pass_diagonals",
     "_has_phase_ramp",
     "pad",
