@@ -20,21 +20,22 @@ reduces to the exact field-only maps :func:`pass_add` / :func:`pass_subtract`.
 against psi0 shifted by 2k over its norm, and reports distributions on the window
 alone: m passes approximate the ideal 2m-photon ladder states of :mod:`tpjc.sg`.
 The map keeps each band rho_{i,i+d} apart, so on the diagonal it is a closed chain.
-Every map takes C and S from :func:`_pass_diagonals`, whose S drops what a pass pushes out
-of the window. :func:`_passes` runs the chain once, :func:`_photon_chain`, for the final
-distribution and the stay count F, then one of two kernels, which compute F(k) only and
-own how rho is stored (float64 for coherent inputs). :func:`_band_passes` runs the map on
-the bands d >= 0 of one matrix in the co-moving frame y = i -+ 2k, where every target is psi0
-itself, a move keeps y and a stay shifts it by 2; it keeps only the A levels [lo, hi) of
-:func:`_band_range`, found once from psi0, at a certified cost to F of at most
-2 delta ||a||_1 + (k + 1) eps ||a||_1^2 <= WINDOW_MASS_TOL, so a run costs m A^2 / 2 entry
-updates where the window would cost m W^2 / 2. :func:`_branch_passes` runs the operator sum rho_k =
-sum x x^dag over the branches x = K_k .. K_1 v, K a stay C or a move: far up the ladder
-c_n^2 ~ (pi / 8n)^2, so it keeps only the branches with at most F stays. F is the smallest
-count whose dropped branches hold at most WINDOW_MASS_TOL of the trace after every pass,
-read exactly from the chain split by stay count, and only up to :func:`_stay_cap`, the
-largest F whose row updates cost less than the band kernel's and whose rows held at once
-are no more than its block and scratch.
+:func:`_passes` reads the window in kernel order, top level first for ADD, where every pass
+moves an entry two places toward index 0, and :func:`_pass_diagonals` builds C and S in it,
+S zero on the first two entries, which drops what a pass pushes out of the window. It runs
+the chain once, :func:`_photon_chain`, for the final distribution and the stay count F, then
+one of two kernels, which compute F(k) only and own how rho is stored (float64 for coherent
+inputs). :func:`_band_passes` runs the map on the bands d >= 0 of one matrix in the co-moving
+frame y = i + 2k, where every target is psi0 itself, a move keeps y and a stay shifts it up by
+2; it keeps only the A entries [lo, hi) of :func:`_band_range`, found once from psi0, at a
+certified cost to F of at most 2 delta ||a||_1 + (k + 1) eps ||a||_1^2 <= WINDOW_MASS_TOL, so a
+run costs m A^2 / 2 entry updates where the window would cost m W^2 / 2. :func:`_branch_passes`
+runs the operator sum rho_k = sum x x^dag over the branches x = K_k .. K_1 v, K a stay C or a
+move: far up the ladder c_n^2 ~ (pi / 8n)^2, so it keeps only the branches with at most F
+stays. F is the smallest count whose dropped branches hold at most WINDOW_MASS_TOL of the
+trace after every pass, read exactly from the chain split by stay count, and only up to
+:func:`_stay_cap`, the largest F whose row updates cost less than the band kernel's and whose
+rows held at once are no more than its block and scratch.
 """
 
 from __future__ import annotations
@@ -151,19 +152,23 @@ def evolve_oracle(state: np.ndarray, gt: float, eig: tuple[np.ndarray, np.ndarra
 # exact density-matrix maps for one pass at gt = pi
 
 
+def _kernel_order(mode: Mode) -> slice:
+    """A window's levels in kernel order, top level first for ADD: every pass moves an entry toward 0."""
+    return slice(None, None, -1 if mode is Mode.ADD else 1)
+
+
 def _pass_diagonals(lo: int, dim: int, mode: Mode) -> tuple[np.ndarray, np.ndarray]:
-    """C, S at gt = pi (g cancels) on the levels n = lo .. dim-1: angle
-    Omega(n) t for ADD, Omega(n-2) t for SUBTRACT. S is zero on the two levels
-    whose move leaves the window, the top two for ADD and the bottom two for
-    SUBTRACT, so every map built on it drops what a pass pushes out of [lo, dim)."""
-    theta = rabi_angle(lo + np.arange(dim - lo) - (0 if mode is Mode.ADD else 2), np.pi)
+    """C, S at gt = pi (g cancels) on the levels n = lo .. dim-1 in kernel order: angle
+    Omega(n) t for ADD, Omega(n-2) t for SUBTRACT. S is zero on the first two entries, whose
+    move leaves the window, so every map built on it drops what a pass pushes out of [lo, dim)."""
+    theta = rabi_angle(np.arange(lo, dim)[_kernel_order(mode)] - (0 if mode is Mode.ADD else 2), np.pi)
     s = np.sin(theta)
-    s[slice(-2, None) if mode is Mode.ADD else slice(0, 2)] = 0.0
+    s[:2] = 0.0
     return np.cos(theta), s
 
 
 def _full_pass(rho: DensityMatrix, mode: Mode) -> DensityMatrix:
-    c, s = _pass_diagonals(0, rho.dim, mode)
+    c, s = (a[_kernel_order(mode)] for a in _pass_diagonals(0, rho.dim, mode))  # in level order
     r = rho.elems
     out = c[:, None] * r * c
     moved = s[:, None] * r * s
@@ -205,52 +210,48 @@ def pass_subtract(rho: DensityMatrix) -> DensityMatrix:
 BAND_BLOCK = 32
 
 
-def _band_range(amps, m: int, mode: Mode) -> tuple[int, int]:
-    """The levels [lo, hi) of ``amps`` that :func:`_band_passes` keeps: the narrowest range
+def _band_range(amps, m: int) -> tuple[int, int]:
+    """The entries [lo, hi) of ``amps`` that :func:`_band_passes` keeps: the narrowest range
     whose certificate 2 delta ||a||_1 + (m + 1) eps ||a||_1^2 is at most WINDOW_MASS_TOL, with
-    delta the sum of |a| past the end entries could enter from (the top for ADD) and eps the
-    largest |a| past the end they leave by (the bottom for ADD); SUBTRACT is the mirror image."""
-    mag = np.abs(amps if mode is Mode.ADD else amps[::-1])  # exit end first, entry end last
+    delta the sum of |a| below lo, where entries enter, and eps the largest |a| from hi up,
+    where they leave."""
+    mag = np.abs(amps[::-1])  # exit end first, entry end last
     l1 = mag.sum()
-    # [lo]: the exit end's term of a cut at lo, [hi]: the entry end's of a cut at hi
+    # [t]: the exit end's term of a cut t entries below the top, [b]: the entry end's of one b below it
     exit_cost = (m + 1) * l1 * l1 * np.concatenate([[0.0], np.maximum.accumulate(mag)])
     entry_cost = 2 * l1 * np.concatenate([np.cumsum(mag[::-1])[::-1], [0.0]])
-    fits = exit_cost <= WINDOW_MASS_TOL  # a prefix: eps only grows with lo
-    his = np.searchsorted(-entry_cost, exit_cost[fits] - WINDOW_MASS_TOL)  # the first hi that fits each lo
-    lo = int(np.argmin(his - np.arange(his.size)))
-    hi = max(lo, int(his[lo]))
-    return (lo, hi) if mode is Mode.ADD else (mag.size - hi, mag.size - lo)
+    fits = exit_cost <= WINDOW_MASS_TOL  # a prefix: eps only grows with t
+    bottoms = np.searchsorted(-entry_cost, exit_cost[fits] - WINDOW_MASS_TOL)  # the first b that fits each t
+    top = int(np.argmin(bottoms - np.arange(bottoms.size)))
+    return mag.size - max(top, int(bottoms[top])), mag.size - top
 
 
-def _band_passes(amps, m: int, mode: Mode, c, s) -> np.ndarray:
-    """F(0..m) of m passes from rho = |a><a| on a Fock window, a = ``amps``, whose C and S are
-    ``c`` and ``s``. rho is held as its bands b_d(y) = rho_{y,y+d}, d >= 0 (a pass keeps the
-    difference), BAND_BLOCK at a time, each entry rounded as :func:`_full_pass` rounds it:
-    float64 R, rho_ij = e^{i(psi_i - psi_j)} R_ij, when ``amps`` is |v| (:func:`_passes` hands
-    |v| where v's phases pass ``_has_phase_ramp``), else complex.
+def _band_passes(amps, m: int, c, s) -> np.ndarray:
+    """F(0..m) of m passes from rho = |a><a| on a Fock window in kernel order, a = ``amps``, whose
+    C and S are ``c`` and ``s``. rho is held as its bands b_d(y) = rho_{y,y+d}, d >= 0 (a pass
+    keeps the difference), BAND_BLOCK at a time, each entry rounded as :func:`_full_pass` rounds
+    it: float64 R, rho_ij = e^{i(psi_i - psi_j)} R_ij, when ``amps`` is |v| (:func:`_passes`
+    hands |v| where v's phases pass ``_has_phase_ramp``), else complex.
 
-    The bands live in the co-moving frame y = i - 2k (ADD) or y = i + 2k (SUBTRACT) of window
-    level i after pass k, where pass k's target is ``amps`` at y itself: the k-step ladder state
-    but for its norm and its phases i^k (-1)^(jk), (-1)^(dk) on band d. A move keeps y, and a
-    stay shifts it by 2, down (ADD) or up, so C and S are read at the source level i through
-    views offset by 2(k - 1) a pass. Only y in [lo, hi) of :func:`_band_range`, found once from
-    ``amps``, is kept, A = hi - lo levels: bands d >= A drop out, the blocks are B x A, and a run
-    costs m A^2 / 2 entry updates. Entries enter [lo, hi) only past hi (ADD; past lo for
-    SUBTRACT), where the cut drops delta = sum |a_y| of the base, and leave it only by a stay
-    past lo (ADD; past hi), where every later target reads |a_y| <= eps, and are dropped there.
-    The map's weights |c_u c_v| + |s_u s_v| <= 1, so it does not grow sum |rho_uv|, which starts
-    at ||a||_1^2; each entry dropped on leaving is scored at most eps on every later pass. So
-    for unit ``amps`` |F~(k) - F(k)| <= 2 delta ||a||_1 + (k + 1) eps ||a||_1^2 against the map on
+    The bands live in the co-moving frame y = i + 2k of entry i after pass k, where pass k's
+    target is ``amps`` at y itself: the k-step ladder state but for its norm and its phases
+    i^k (-1)^(jk), (-1)^(dk) on band d. A move keeps y, and a stay shifts it up by 2, so C and S
+    are read at the source entry i through views offset by 2(k - 1) a pass. Only y in [lo, hi)
+    of :func:`_band_range`, found once from ``amps``, is kept, A = hi - lo entries: bands d >= A
+    drop out, the blocks are B x A, and a run costs m A^2 / 2 entry updates. Entries enter
+    [lo, hi) only past lo, where the cut drops delta = sum |a_y| of the base, and leave it only
+    by a stay past hi, where every later target reads |a_y| <= eps, and are dropped there. The
+    map's weights |c_u c_v| + |s_u s_v| <= 1, so it does not grow sum |rho_uv|, which starts at
+    ||a||_1^2; each entry dropped on leaving is scored at most eps on every later pass. So for
+    unit ``amps`` |F~(k) - F(k)| <= 2 delta ||a||_1 + (k + 1) eps ||a||_1^2 against the map on
     the whole window, at most WINDOW_MASS_TOL, times 1 / (1 - S_k) on a SUBTRACT F. S drops what
     leaves the window, and C and S read zero past it.
     """
-    lo, hi = _band_range(amps, m, mode)
+    lo, hi = _band_range(amps, m)
     width = hi - lo
     base = np.concatenate([amps[lo:hi], np.zeros(BAND_BLOCK - 1)])  # base[y - lo] is a_y, zero past hi
-    # c, s on the levels pass 1 .. m reads, from its lowest: y + 2(k - 1) for ADD, y - 2(k - 1)
-    up = mode is Mode.ADD
-    first = lo if up else lo - 2 * max(m - 1, 0)
-    stop = (hi + 2 * max(m - 1, 0) if up else hi) + BAND_BLOCK - 1
+    # c, s on the entries pass 1 .. m reads, from its lowest: y - 2(k - 1)
+    first, stop = lo - 2 * max(m - 1, 0), hi + BAND_BLOCK - 1
     pads = np.zeros(max(-first, 0)), np.zeros(max(stop - c.size, 0))  # zeros off the window
     c, s = (np.concatenate([pads[0], a[max(first, 0) : stop], pads[1]]) for a in (c, s))
     # row q of a view is its vector from q on; block d0 reads columns d0:
@@ -261,13 +262,13 @@ def _band_passes(amps, m: int, mode: Mode, c, s) -> np.ndarray:
         n = width - d0  # row r of a block is band d0 + r on y < lo + n, and target row r is a_{y+d0+r}
         c_d, s_d, t_d, t_0 = c_v[:, d0:], s_v[:, d0:], targets[:, d0:], base[:n].conj()
         # pass k takes rho from block (k - 1) % 2 to the other: its moves, and its stays shifted
-        # by two on the flat form. A stay that leaves [lo, hi) leaves its band: from a row's first
-        # two entries (ADD), or past the band's end (SUBTRACT), where no target reads it, up to
-        # the row's last two. Those two entries per row are zeroed first, so no row takes the next's
+        # by two on the flat form. A stay that leaves [lo, hi) goes past its band's end, where no
+        # target reads it, up to the row's last two. Those two entries per row are zeroed first,
+        # so no row takes the next's
         flat = list(buffers[:, : BAND_BLOCK * n])
         blocks = [a.reshape(BAND_BLOCK, n) for a in flat]
         plans = [
-            (x, moved, x[1:, :2], to[:-2], fro[2:]) if up else (x, moved, x[:-1, -2:], to[2:], fro[:-2])
+            (x, moved, x[:-1, -2:], to[2:], fro[:-2])
             for x, moved, fro, to in zip(blocks, blocks[::-1], flat, flat[::-1])
         ]
         rho, spare = blocks
@@ -277,7 +278,7 @@ def _band_passes(amps, m: int, mode: Mode, c, s) -> np.ndarray:
         for k in range(m + 1):
             if k:
                 x, moved, edge, to, fro = plans[(k - 1) % 2]
-                q = 2 * (k - 1 if up else m - k)  # y's level before pass k is entry q + y - lo of c, s
+                q = 2 * (m - k)  # y's entry before pass k is entry q + y - lo of c, s
                 np.multiply(x, s[q : q + n], out=moved)
                 moved *= s_d[q : q + BAND_BLOCK]
                 x *= c[q : q + n]
@@ -290,30 +291,28 @@ def _band_passes(amps, m: int, mode: Mode, c, s) -> np.ndarray:
     return scores.sum(axis=1)
 
 
-def _branch_passes(amps, m: int, mode: Mode, c, s, stays: int) -> np.ndarray:
+def _branch_passes(amps, m: int, c, s, stays: int) -> np.ndarray:
     """What :func:`_band_passes` returns, from the branches x = K_k .. K_1 a with at
-    most ``stays`` stays K = C; every other K is a move, V^dag^2 S (ADD) or V^2 S.
+    most ``stays`` stays K = C; every other K is a move S, two entries toward 0.
     rho_k = sum x x^dag, so F(k) sums |<t_k|x>|^2 over the k-pass branches. Each
     branch is one row over the window, of |v| on the real path (a pass keeps the
     phase ramp, so each target overlap's phase is one constant). A row with a moves
-    keeps level i at i -+ 2a, so a move or a stay multiplies it in place by a
+    keeps entry i at i - 2a, so a move or a stay multiplies it in place by a
     shifted view of S or C. Branches run depth-first over their first stay and,
     below it, pass by pass, in one buffer per stay count f of C(m-1, f-1) rows.
-    S is zero where a move would leave the window, so no row holds a level past it.
+    S is zero where a move would leave the window, so no row holds an entry past it.
     """
     width = amps.size
-    up = 1 if mode is Mode.ADD else -1
-    pad = 2 * m  # level j of the window is entry pad + j of these
-    c, s, base = (np.pad(a, pad) for a in (c, s, amps))
-    # t_k on level j is i^k (-1)^(jk) v_{j -+ 2k}, and i^k drops out of |<t_k|x>|^2
+    pad = np.zeros(2 * m)  # moves read C and S up to 2m below the window, scores the base up to 2m above it
+    c, s, base = np.concatenate([pad, c]), np.concatenate([pad, s]), np.concatenate([amps, pad])
+    # t_k on entry j is i^k (-1)^(jk) a_{j+2k} but for a sign, and both drop out of |<t_k|x>|^2
     targets = (base.conj(), (base * (-1.0) ** np.arange(base.size)).conj())
 
-    def frame(a):  # the levels of a row with a moves
-        return slice(pad + 2 * up * a, pad + 2 * up * a + width)
+    def frame(a):  # the entries of c, s under a row with a moves: entry j of the window is 2m + j
+        return slice(2 * (m - a), 2 * (m - a) + width)
 
-    def score(rows, k, f):  # rows with f stays after pass k: t_k on level j reads base at j - up 2f
-        shift = pad - 2 * up * f
-        overlaps = rows @ targets[k % 2][shift : shift + width]
+    def score(rows, k, f):  # rows with f stays after pass k: t_k on entry j reads base at j + 2f
+        overlaps = rows @ targets[k % 2][2 * f : 2 * f + width]
         scores[k] += np.vdot(overlaps, overlaps).real
 
     scores = np.zeros(m + 1)
@@ -328,7 +327,8 @@ def _branch_passes(amps, m: int, mode: Mode, c, s, stays: int) -> np.ndarray:
             for k in range(first + 1, m + 1):
                 for f in range(min(stays, k - first + 1), 0, -1):  # so f - 1's rows are read unmoved
                     buf, n = bufs[f - 1], counts[f - 1]
-                    buf[:n] *= s[frame(k - f - 1)]
+                    if n:  # none where f stays are first reached
+                        buf[:n] *= s[frame(k - f - 1)]
                     if f > 1:
                         counts[f - 1] = n + counts[f - 2]
                         np.multiply(bufs[f - 2][: counts[f - 2]], c[frame(k - f)], out=buf[n : counts[f - 1]])
@@ -383,14 +383,14 @@ def _stay_cap(m: int, width: int) -> int | None:
     return cap
 
 
-def _photon_chain(p, m: int, mode: Mode, c, s) -> tuple[np.ndarray, int | None]:
+def _photon_chain(p, m: int, c, s) -> tuple[np.ndarray, int | None]:
     """The diagonal after m passes from diagonal ``p`` on a window with C, S = ``c``, ``s``, and
     the stay count F of :func:`_branch_passes`, or None where the band kernel runs. A pass keeps
-    each band apart, so the diagonal is a closed chain, p'_i = c_i^2 p_i + s_{i-+2}^2 p_{i-+2}
+    each band apart, so the diagonal is a closed chain, p'_i = c_i^2 p_i + s_{i+2}^2 p_{i+2}
     (the micromaser photon-number rate equation), in O(m W). Split by stay count it certifies F:
     with T_f(n) the diagonal of the histories with more than f stays and T_{-1} the whole one, a
     stay moves c_n^2 T_{f-1}(n) into T_f and a move keeps f, T'_f(n) = c_n^2 T_{f-1}(n) +
-    s_{n-+2}^2 T_f(n-+2). Rows T_{-1} .. T_cap, cap = :func:`_stay_cap`, are one array updated
+    s_{n+2}^2 T_f(n+2). Rows T_{-1} .. T_cap, cap = :func:`_stay_cap`, are one array updated
     in place beside one scratch of its size, each entry rounded as :func:`_full_pass` rounds
     rho_ii; S drops what leaves the window. F is the smallest f whose T_f holds at most
     WINDOW_MASS_TOL of the trace after every pass: those histories sum to a positive semidefinite
@@ -409,9 +409,8 @@ def _photon_chain(p, m: int, mode: Mode, c, s) -> tuple[np.ndarray, int | None]:
         rows *= c
         rows *= c
         flat[width:] = flat[:-width]  # a stay adds one: T_f takes T_{f-1}'s stays, T_{-1} keeps its own
-        # S is zero on the two entries a row would push past its end, so the next row takes +0.0
-        to, fro = (flat[2:], flat_moved[:-2]) if mode is Mode.ADD else (flat[:-2], flat_moved[2:])
-        to += fro
+        # S is zero on each row's first two entries, so a row's last two take +0.0 from the next
+        flat[:-2] += flat_moved[2:]
         if rows.ndim > 1:
             np.maximum(worst, rows[1:].sum(axis=1), out=worst)
             if worst[-1] > WINDOW_MASS_TOL:
@@ -422,15 +421,15 @@ def _photon_chain(p, m: int, mode: Mode, c, s) -> tuple[np.ndarray, int | None]:
 
 def _passes(v, p, lo: int, m: int, mode: Mode) -> tuple[np.ndarray, np.ndarray]:
     """F(0..m) and the final diagonal on the window [lo, N) of m passes from |v><v|, whose
-    diagonal on the window is ``p``. :func:`_photon_chain` gives the diagonal and the stay
-    count; F is scored on the window's |v| where it has a phase ramp, by :func:`_branch_passes`
-    where that count is certified, else by :func:`_band_passes`."""
+    diagonal on the window is ``p``; every map runs on the window in kernel order. The chain
+    gives the diagonal and the stay count; F is scored on the window's |v| where it has a phase
+    ramp, by :func:`_branch_passes` where that count is certified, else by :func:`_band_passes`."""
+    order = _kernel_order(mode)
     c, s = _pass_diagonals(lo, lo + p.size, mode)
-    amps = np.abs(v[lo:]) if _has_phase_ramp(v[lo:]) else v[lo:]
-    final, stays = _photon_chain(p, m, mode, c, s)
-    if stays is None:
-        return _band_passes(amps, m, mode, c, s), final
-    return _branch_passes(amps, m, mode, c, s, stays), final
+    amps = (np.abs(v[lo:]) if _has_phase_ramp(v[lo:]) else v[lo:])[order]
+    final, stays = _photon_chain(p[order], m, c, s)
+    scores = _band_passes(amps, m, c, s) if stays is None else _branch_passes(amps, m, c, s, stays)
+    return scores, final[order]
 
 
 # Largest ||c - |c| e^{i psi}|| (psi_{j+2} - psi_j constant) that the float64

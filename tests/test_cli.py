@@ -642,11 +642,18 @@ def test_shipped_configs_are_valid():
 # largest distance, 9.7e-16, is unchanged), so its result.json and
 # fidelity_series.csv changed. subtract_alpha12's F values are bit-identical,
 # and every distribution, mean and Q byte of both configs held.
+# The pass machinery now runs in one direction, an addition's window read from
+# its top level down, so add_alpha5's band kernel sums each BLAS product over
+# its levels in the reverse order: 20 of its 51 F values moved by 1 or 2 ulp
+# (at most 2.2e-16), and its largest distance to the 80-bit reference (at
+# k = 50) went 9.7e-16 -> 1.08e-15, so its result.json and fidelity_series.csv
+# changed. subtract_alpha12's F values are bit-identical, and every
+# distribution, mean and Q byte of both configs held.
 SHIPPED_OUTPUT_SHA256 = {
     "add_alpha5.json": {
-        "result.json": "3e9f75e07a9d93f92ed16fd729f2e6c64a83afe4d8721808ed360b3140797178",
+        "result.json": "8678899139b387e498d4cfc1f50f4308dfcf58931836c83c9f6d3a404619870c",
         "fock_dist.csv": "4fb1b2546bca7cf4e0ca4d5e8178d5c2baed01c4868c4c902e9b81d044f08ca9",
-        "fidelity_series.csv": "99cae65e60c76494eecccb6039046b1b464e17efdbcfd364cf73b0e1b733a281",
+        "fidelity_series.csv": "eb367c77fc09aa0dfdd8f1df37043ca3db84e03ca0cd6f2edd3db8e2a64caaa3",
         "mandel_q.json": "e9435127e5e2024f68823fcd541bf3b174cf544fa657d08d74a1997b1fa056a2",
         "mean_photon.json": "6b15512fe900b92abfd827905160742be79bf03744159162433f5031111bd41b",
     },

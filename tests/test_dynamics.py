@@ -276,6 +276,23 @@ def test_pass_subtract_trace_preserving():
     assert out.hermiticity_defect() < 1e-14
 
 
+@pytest.mark.parametrize("lo", [0, 30])
+@pytest.mark.parametrize("mode", [Mode.ADD, Mode.SUBTRACT])
+def test_pass_diagonals_are_the_rabi_angle_in_kernel_order(mode, lo):
+    # kernel order reads the window from its top level down for ADD, so a pass moves
+    # every entry two places toward index 0 in both modes, and the two entries whose
+    # move would leave the window come first; C and S are built in that order, not
+    # handed out as reversed views
+    dim = lo + 40
+    levels = np.arange(dim - 1, lo - 1, -1) if mode is Mode.ADD else np.arange(lo, dim)
+    theta = rabi_angle(levels - (0 if mode is Mode.ADD else 2), math.pi)
+    c, s = dynamics._pass_diagonals(lo, dim, mode)
+    assert c.flags.c_contiguous and s.flags.c_contiguous
+    assert np.array_equal(c, np.cos(theta))
+    assert np.array_equal(s[2:], np.sin(theta)[2:])
+    assert np.flatnonzero(s == 0.0).tolist() == [0, 1]
+
+
 def test_pass_maps_match_reduced_evolution():
     # one pass = evolve the pure state with the qubit attached at gt = pi,
     # then trace the qubit out
@@ -499,11 +516,29 @@ def broad_state(dim, mode, real):
     return FockVector(amps * np.exp(1j * phases)).normalized()
 
 
+def level_diagonals(lo, dim, mode):
+    """_pass_diagonals' C and S on the levels lo .. dim-1, read back in level order."""
+    return tuple(a[dynamics._kernel_order(mode)] for a in dynamics._pass_diagonals(lo, dim, mode))
+
+
+def in_kernel_order(name, mode, *args):
+    """dynamics.<name> on level-order inputs: every array argument (amplitudes, diagonal, C, S)
+    is read in ``mode``'s kernel order, top level first for ADD, and _band_range's range and
+    _photon_chain's diagonal come back on levels."""
+    order = dynamics._kernel_order(mode)
+    result = getattr(dynamics, name)(*(a[order] if isinstance(a, np.ndarray) else a for a in args))
+    if name == "_band_range" and mode is Mode.ADD:
+        return args[0].size - result[1], args[0].size - result[0]
+    if name == "_photon_chain":
+        return result[0][order], result[1]
+    return result
+
+
 def protocol_window(psi, m, mode):
-    """run_protocol's initial diagonal, lo and the C, S of its window."""
+    """run_protocol's initial diagonal, lo and the C, S of its window, in level order."""
     p = fock_distribution(psi)
     lo = dynamics.window_start(int(np.argmax(np.cumsum(p) > dynamics.WINDOW_MASS_TOL)), m, mode)
-    return (p, lo, *dynamics._pass_diagonals(lo, psi.dim, mode))
+    return (p, lo, *level_diagonals(lo, psi.dim, mode))
 
 
 def window_amps(psi, lo):
@@ -628,11 +663,11 @@ def test_kernels_drop_what_leaves_the_window(mode, lo, real):
     amps /= np.linalg.norm(amps)
     if not real:
         amps = amps * np.exp(2j * np.pi * rng.random(width))
-    c, s = dynamics._pass_diagonals(lo, lo + width, mode)
+    c, s = level_diagonals(lo, lo + width, mode)
     c.flags.writeable = s.flags.writeable = False
     expected = dense_window_scores(amps, lo, m, mode)
-    band = dynamics._band_passes(amps, m, mode, c, s)
-    branch = dynamics._branch_passes(amps, m, mode, c, s, m)
+    band = in_kernel_order("_band_passes", mode, amps, m, c, s)
+    branch = in_kernel_order("_branch_passes", mode, amps, m, c, s, m)
     for scores in (band, branch):
         np.testing.assert_allclose(scores, expected, rtol=0, atol=1e-14)
 
@@ -662,9 +697,9 @@ def test_band_kernel_keeps_its_range_and_matches_the_full_pass_loop(alpha, dim, 
     # scores within WINDOW_MASS_TOL, far below rounding
     m = 50
     amps = band_window(alpha, dim, real)
-    c, s = dynamics._pass_diagonals(0, dim, mode)
-    assert dynamics._band_range(amps, m, mode) == BAND_RANGES[alpha, dim, mode]
-    band = dynamics._band_passes(amps, m, mode, c, s)
+    c, s = level_diagonals(0, dim, mode)
+    assert in_kernel_order("_band_range", mode, amps, m) == BAND_RANGES[alpha, dim, mode]
+    band = in_kernel_order("_band_passes", mode, amps, m, c, s)
     np.testing.assert_allclose(band, dense_window_scores(amps, 0, m, mode), rtol=0, atol=1e-15)
 
 
@@ -677,16 +712,16 @@ def test_band_kernel_error_is_within_its_certificate(monkeypatch, mode, real):
     # a_u a_v is scored against a_u a_v, so F moves by about delta^2
     m = 20
     amps = band_window(12.0, 320, real)
-    c, s = dynamics._pass_diagonals(0, amps.size, mode)
+    c, s = level_diagonals(0, amps.size, mode)
     exact = dense_window_scores(amps, 0, m, mode)
     monkeypatch.setattr(dynamics, "WINDOW_MASS_TOL", 1e-4)
-    lo, hi = dynamics._band_range(amps, m, mode)
+    lo, hi = in_kernel_order("_band_range", mode, amps, m)
     mag, l1 = np.abs(amps), np.sum(np.abs(amps))
     below, above = mag[:lo], mag[hi:]
     delta, eps = (below.sum(), above.max()) if mode is Mode.SUBTRACT else (above.sum(), below.max())
     bound = 2 * delta * l1 + (np.arange(m + 1) + 1) * eps * l1 * l1
     assert 0 < lo < hi < amps.size and min(delta, eps) > 1e-8 and bound[-1] <= 1e-4
-    error = np.abs(dynamics._band_passes(amps, m, mode, c, s) - exact)
+    error = np.abs(in_kernel_order("_band_passes", mode, amps, m, c, s) - exact)
     assert 1e-12 < np.max(error) and np.all(error <= bound)
 
 
@@ -698,10 +733,10 @@ def test_band_kernel_memory_is_its_range_not_its_window():
     psi = make_coherent(5.0, default_dim(5.0, 2 * m))
     p, lo, c, s = protocol_window(psi, m, Mode.ADD)
     amps = window_amps(psi, lo)
-    assert (lo, amps.size, dynamics._band_range(amps, m, Mode.ADD)) == (0, 4099, (0, 121))
+    assert (lo, amps.size, in_kernel_order("_band_range", Mode.ADD, amps, m)) == (0, 4099, (0, 121))
     tracemalloc.start()
     try:
-        scores = dynamics._band_passes(amps, m, Mode.ADD, c, s)
+        scores = in_kernel_order("_band_passes", Mode.ADD, amps, m, c, s)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -715,11 +750,11 @@ def smallest_certified_stays(q, m):
     return next(f for f in range(m + 1) if math.comb(m, f + 1) * q ** (f + 1) <= dynamics.WINDOW_MASS_TOL)
 
 
-def capped_chain(cap, *args):
-    """_photon_chain(*args) with ``cap`` in place of _stay_cap."""
+def capped_chain(cap, mode, *args):
+    """_photon_chain(*args) in ``mode``'s kernel order with ``cap`` in place of _stay_cap."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(dynamics, "_stay_cap", cap)
-        return dynamics._photon_chain(*args)
+        return in_kernel_order("_photon_chain", mode, *args)
 
 
 def no_cap(m, width):
@@ -730,7 +765,7 @@ def no_cap(m, width):
 def exact_stays(p, m, mode, c, s):
     """The smallest F whose dropped histories hold at most WINDOW_MASS_TOL after every
     pass, from the chain with no cap."""
-    return capped_chain(no_cap, p, m, mode, c, s)[1]
+    return capped_chain(no_cap, mode, p, m, c, s)[1]
 
 
 def chain_tails(patch):
@@ -769,8 +804,8 @@ def test_branch_kernel_matches_band_kernel_where_it_drops_histories(mode, alpha)
     assert 2 <= stays <= 3
     assert stays <= smallest_certified_stays(float(np.max(c * c)), m)
     amps = window_amps(psi, lo)
-    band = dynamics._band_passes(amps, m, mode, c, s)
-    branch = dynamics._branch_passes(amps, m, mode, c, s, stays)
+    band = in_kernel_order("_band_passes", mode, amps, m, c, s)
+    branch = in_kernel_order("_branch_passes", mode, amps, m, c, s, stays)
     np.testing.assert_allclose(branch, band, rtol=0, atol=1e-15)
 
 
@@ -823,12 +858,12 @@ def certificate_window(width, lo, mode, seed):
 @pytest.mark.parametrize("mode", [Mode.ADD, Mode.SUBTRACT])
 def test_stay_certificate_is_the_dropped_trace_of_the_enumerated_histories(mode, width, lo, m, seed):
     amps = certificate_window(width, lo, mode, seed)
-    c, s = dynamics._pass_diagonals(lo, lo + width, mode)
+    c, s = level_diagonals(lo, lo + width, mode)
     p = np.abs(amps) ** 2
     q = float(np.max(c * c))
     with pytest.MonkeyPatch.context() as patch:
         runs = chain_tails(patch)
-        capped_chain(no_cap, p, m, mode, c, s)
+        capped_chain(no_cap, mode, p, m, c, s)
     (chain,) = runs
     dropped = np.zeros((m, m + 1))  # dropped[k - 1, f]: the histories with > f stays after pass k
     for k in range(1, m + 1):
@@ -841,13 +876,13 @@ def test_stay_certificate_is_the_dropped_trace_of_the_enumerated_histories(mode,
     smallest = next(f for f in range(m + 1) if np.all(dropped[:, f] <= dynamics.WINDOW_MASS_TOL))
     cap = dynamics._stay_cap(m, width)
     expected = smallest if cap is not None and smallest <= cap else None
-    assert dynamics._photon_chain(p, m, mode, c, s)[1] == expected
+    assert in_kernel_order("_photon_chain", mode, p, m, c, s)[1] == expected
     if seed == "alpha45":
         assert 0 < expected < m  # rare stays: some histories dropped, some kept
     if seed == "edge":
         assert np.max(dropped[:, smallest - 1]) > dynamics.WINDOW_MASS_TOL >= dropped[-1, smallest - 1]
     for f in range(m + 1):  # under a cap of f: F where F <= f, else None
-        assert capped_chain(lambda m, width: f, p, m, mode, c, s)[1] == (smallest if smallest <= f else None)
+        assert capped_chain(lambda m, width: f, mode, p, m, c, s)[1] == (smallest if smallest <= f else None)
 
 
 def branch_rows(m, stays):
@@ -895,7 +930,7 @@ def test_path_rule_is_taken_without_a_pass(monkeypatch, alpha, m, mode, dim, sta
     psi = make_coherent(alpha, dim or default_dim(alpha, 2 * m if mode is Mode.ADD else 0))
     p, lo, c, s = protocol_window(psi, m, mode)
     calls, runs = counted_kernels(monkeypatch), chain_tails(monkeypatch)
-    assert dynamics._photon_chain(p[lo:], m, mode, c, s)[1] == stays
+    assert in_kernel_order("_photon_chain", mode, p[lo:], m, c, s)[1] == stays
     assert (calls, [len(tails) for tails in runs]) == ([], [passes])
 
 
@@ -918,7 +953,7 @@ def test_path_rule_refuses_branches_that_would_outgrow_an_admitted_run(monkeypat
     runs = chain_tails(monkeypatch)
     tracemalloc.start()
     try:
-        assert dynamics._photon_chain(p[lo:], m, Mode.ADD, c, s)[1] is None
+        assert in_kernel_order("_photon_chain", Mode.ADD, p[lo:], m, c, s)[1] is None
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -974,9 +1009,9 @@ def test_subtract_chain_keeps_mass_on_the_dark_vacuum():
     # at lo = 0 all the mass on the bottom level |0>, where S' vanishes, stays put
     p = np.zeros(8)
     p[0] = 1.0
-    c, s = dynamics._pass_diagonals(0, 8, Mode.SUBTRACT)
+    c, s = level_diagonals(0, 8, Mode.SUBTRACT)
     for m in (1, 5):
-        assert np.array_equal(dynamics._photon_chain(p, m, Mode.SUBTRACT, c, s)[0], p)
+        assert np.array_equal(in_kernel_order("_photon_chain", Mode.SUBTRACT, p, m, c, s)[0], p)
 
 
 # Caps of the chain's split rows: its own, one it never drops them at, and none at all
@@ -988,11 +1023,11 @@ def assert_chain_is_the_dense_diagonal(psi, m, mode):
     # it holds split rows to the end, drops them or holds none
     rho = pure_density(psi)
     p = np.diagonal(rho.elems).real
-    c, s = dynamics._pass_diagonals(0, psi.dim, mode)
+    c, s = level_diagonals(0, psi.dim, mode)
     for k in range(1, m + 1):
         rho = dynamics._full_pass(rho, mode)
         for cap in CHAIN_CAPS:
-            assert np.array_equal(capped_chain(cap, p, k, mode, c, s)[0], np.diagonal(rho.elems).real)
+            assert np.array_equal(capped_chain(cap, mode, p, k, c, s)[0], np.diagonal(rho.elems).real)
 
 
 @pytest.mark.parametrize(
@@ -1083,16 +1118,16 @@ def test_protocol_allocates_no_window_square_array():
     p, lo, c, s = protocol_window(psi, m, Mode.ADD)
     width = psi.dim - lo
     assert width == 896
-    stays = dynamics._photon_chain(p[lo:], m, Mode.ADD, c, s)[1]
+    stays = in_kernel_order("_photon_chain", Mode.ADD, p[lo:], m, c, s)[1]
     assert (stays, dynamics._stay_cap(m, width)) == (2, 3)
     amps = window_amps(psi, lo)
     peaks = {}
     for name, run in [
         ("run_protocol", lambda: run_protocol(psi, m, Mode.ADD)),
-        ("band", lambda: dynamics._band_passes(amps, m, Mode.ADD, c, s)),
-        ("branch", lambda: dynamics._branch_passes(amps, m, Mode.ADD, c, s, stays)),
-        ("unsplit chain", lambda: capped_chain(lambda m, width: None, p[lo:], m, Mode.ADD, c, s)),
-        ("chain", lambda: dynamics._photon_chain(p[lo:], m, Mode.ADD, c, s)),
+        ("band", lambda: in_kernel_order("_band_passes", Mode.ADD, amps, m, c, s)),
+        ("branch", lambda: in_kernel_order("_branch_passes", Mode.ADD, amps, m, c, s, stays)),
+        ("unsplit chain", lambda: capped_chain(lambda m, width: None, Mode.ADD, p[lo:], m, c, s)),
+        ("chain", lambda: in_kernel_order("_photon_chain", Mode.ADD, p[lo:], m, c, s)),
     ]:
         tracemalloc.start()
         try:
@@ -1143,7 +1178,7 @@ def _edge_mass_before_each_pass(psi, m, mode):
     p, edges = p0[lo:], []
     for _ in range(m):
         edges.append(p[-2:].sum() if mode is Mode.ADD else p[:2].sum())
-        p = dynamics._photon_chain(p, 1, mode, c, s)[0]
+        p = in_kernel_order("_photon_chain", mode, p, 1, c, s)[0]
     return lo, edges
 
 

@@ -171,7 +171,8 @@ def test_no_run_path_function_takes_a_tolerance():
 
 
 # How the pass kernels store rho: the band kernel's block size and range, their
-# C and S, the real-path choice and the padding of their base vector, the kernels
+# C and S and the kernel order both are read in, the real-path choice and the
+# padding of their base vector, the kernels
 # themselves, the photon-number chain that gives the distribution and the stay
 # count that picks a kernel, and that count's cap.
 # run_protocol hands _passes psi0, p and lo.
@@ -180,6 +181,7 @@ KERNEL_STORAGE = {
     "_band_range",
     "_pass_diagonals",
     "_has_phase_ramp",
+    "_kernel_order",
     "pad",
     "_band_passes",
     "_branch_passes",
@@ -213,6 +215,30 @@ def test_body_reads_are_found():
 
 def test_run_protocol_leaves_storage_to_the_band_kernel():
     assert body_reads((SRC / "dynamics.py").read_text(), "run_protocol") & KERNEL_STORAGE == set()
+
+
+def parameters(source: str, function: str) -> set[str]:
+    """The parameter names of the top-level ``function`` in ``source``."""
+    node = next(n for n in ast.parse(source).body if isinstance(n, ast.FunctionDef) and n.name == function)
+    return {arg.arg for arg in (*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs)}
+
+
+def test_parameters_are_found():
+    source = "def f(v, /, m, *rows, mode=None, **rest):\n    return mode\n"
+    assert parameters(source, "f") == {"v", "m", "mode"}
+
+
+# The pass machinery decides the direction once: _passes reads the window in
+# kernel order and _pass_diagonals builds C and S in it, so the band range, both
+# kernels and the photon-number chain run one direction for both modes.
+DIRECTION_FREE = ["_band_range", "_band_passes", "_branch_passes", "_photon_chain"]
+
+
+@pytest.mark.parametrize("function", DIRECTION_FREE)
+def test_kernels_and_the_chain_read_no_direction(function):
+    source = (SRC / "dynamics.py").read_text()
+    assert "mode" not in parameters(source, function)
+    assert body_reads(source, function) & {"mode", "Mode", "ADD", "SUBTRACT"} == set()
 
 
 def imported_names(source: str) -> set[str]:

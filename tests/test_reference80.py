@@ -23,7 +23,7 @@ pytestmark = pytest.mark.skipif(
 # Largest |F - F_80| and |p - p_80| accepted. The float64 run's C is off by
 # up to 1.6e-13 below n = 300, since its angle pi sqrt((n+2)(n+1)) rounds at
 # ~1e3, but F feels C only through c_n^2 ~ (pi / 8n)^2. The worst distances
-# measured on the cases below are 9.7e-16 in F and 2.3e-16 on one level.
+# measured on the cases below are 1.08e-15 in F and 2.3e-16 on one level.
 F_BOUND = 2e-15
 P_BOUND = 1e-15
 
